@@ -2,17 +2,101 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cinttypes>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <type_traits>
 #include <unordered_map>
+#include <variant>
 
 #include "campaign/checkpoint.hpp"
 
 namespace coeff::campaign {
 
 namespace {
+
+using Row = ResultRow;
+using Agg = CampaignAggregate;
+/// A row counter's field; the alternative held is its value type.
+using RowField = std::variant<std::int64_t Row::*, double Row::*, bool Row::*>;
+/// An aggregate total a counter folds into (or a text line prints).
+using TotalField = std::variant<std::int64_t Agg::*, double Agg::*>;
+
+/// Keys added after the first row schema are optional: absent parses
+/// as 0 (rows from older campaigns), present-but-garbled still rejects.
+enum Presence { kRequired, kOptional };
+/// How `aggregate_rows` folds a counter over the ok rows into `total`.
+enum Fold { kNoFold, kSum, kCountTrue };
+
+struct Counter {
+  std::string_view key;
+  RowField field;
+  Presence presence;
+  Fold fold = kNoFold;
+  TotalField total = {};
+  std::string_view total_key = {};  ///< report key, when not `key`
+};
+
+/// The ok-row counter schema, in row order — which is also the order of
+/// the folded totals in the JSON report. Adding a counter: one field in
+/// ResultRow (and CampaignAggregate, if folded), one line in make_row,
+/// one entry here.
+constexpr Counter kCounters[] = {
+    {"released", &Row::released, kRequired, kSum, &Agg::released},
+    {"delivered", &Row::delivered, kRequired, kSum, &Agg::delivered},
+    {"missed", &Row::missed, kRequired, kSum, &Agg::missed},
+    {"source_lost", &Row::source_lost, kRequired, kSum, &Agg::source_lost},
+    {"copies_sent", &Row::copies_sent, kRequired, kSum, &Agg::copies_sent},
+    {"cycles", &Row::cycles, kRequired, kSum, &Agg::cycles},
+    {"miss_ratio", &Row::miss_ratio, kRequired},  // folded to mean/max
+    {"degraded", &Row::degraded, kRequired, kCountTrue, &Agg::degraded_plans,
+     "degraded_plans"},
+    {"plan_swaps", &Row::plan_swaps, kRequired, kSum, &Agg::plan_swaps},
+    {"failovers", &Row::failovers, kRequired, kSum, &Agg::failovers},
+    {"frames_lost", &Row::frames_lost, kRequired},
+    {"s_released", &Row::s_released, kOptional},
+    {"s_missed", &Row::s_missed, kOptional},
+    {"d_released", &Row::d_released, kOptional, kSum, &Agg::d_released},
+    {"d_missed", &Row::d_missed, kOptional, kSum, &Agg::d_missed},
+    {"m_changes", &Row::m_changes, kOptional, kSum, &Agg::m_changes},
+    {"m_shed", &Row::m_shed, kOptional, kSum, &Agg::m_shed},
+    {"m_matchup", &Row::m_matchup, kOptional, kSum, &Agg::m_matchup},
+    {"m_dwell_l1", &Row::m_dwell_l1, kOptional, kSum, &Agg::m_dwell_l1},
+    {"m_dwell_l2", &Row::m_dwell_l2, kOptional, kSum, &Agg::m_dwell_l2},
+    {"e_total_uj", &Row::e_total_uj, kOptional, kSum, &Agg::e_total_uj},
+    {"e_sleep_uj", &Row::e_sleep_uj, kOptional, kSum, &Agg::e_sleep_uj},
+};
+
+/// Counter lines of the text report: each entry prints one total as
+/// ` name=value`; an entry with a `line` label starts a new line.
+struct TextTotal {
+  std::string_view line;
+  std::string_view name;
+  TotalField total;
+};
+
+constexpr TextTotal kTextTotals[] = {
+    {"instances :", "released", &Agg::released},
+    {"", "delivered", &Agg::delivered},
+    {"", "missed", &Agg::missed},
+    {"", "source_lost", &Agg::source_lost},
+    {"dynamic   :", "released", &Agg::d_released},
+    {"", "missed", &Agg::d_missed},
+    {"miss      :", "mean", &Agg::miss_ratio_mean},
+    {"", "max", &Agg::miss_ratio_max},
+    {"", "| degraded_plans", &Agg::degraded_plans},
+    {"", "plan_swaps", &Agg::plan_swaps},
+    {"", "failovers", &Agg::failovers},
+    {"wire      :", "copies_sent", &Agg::copies_sent},
+    {"", "cycles", &Agg::cycles},
+    {"mode      :", "changes", &Agg::m_changes},
+    {"", "shed", &Agg::m_shed},
+    {"", "matchup", &Agg::m_matchup},
+    {"", "dwell_l1", &Agg::m_dwell_l1},
+    {"", "dwell_l2", &Agg::m_dwell_l2},
+    {"energy    :", "total_uj", &Agg::e_total_uj},
+    {"", "sleep_saved_uj", &Agg::e_sleep_uj},
+};
 
 std::string json_escape(std::string_view text) {
   std::string out;
@@ -32,6 +116,25 @@ std::string format_double(double value) {
   char buf[48];
   std::snprintf(buf, sizeof buf, "%.10g", value);
   return buf;
+}
+
+void append_value(std::string& out, std::int64_t v) {
+  out += std::to_string(v);
+}
+void append_value(std::string& out, double v) { out += format_double(v); }
+void append_value(std::string& out, bool v) { out += v ? "true" : "false"; }
+
+/// Append `,"key":` to a JSON object under construction.
+void append_key(std::string& out, std::string_view key) {
+  out += ",\"";
+  out += key;
+  out += "\":";
+}
+
+/// `text` left-justified in a field of `width` (never truncated).
+std::string padded(std::string text, std::size_t width) {
+  if (text.size() < width) text.resize(width, ' ');
+  return text;
 }
 
 /// Extract the raw value text of `"key":` in a flat JSON object.
@@ -68,7 +171,7 @@ std::optional<std::string> json_field(std::string_view line,
   return std::string(line.substr(i, end - i));
 }
 
-bool to_i64(const std::optional<std::string>& text, std::int64_t& out) {
+bool parse_value(const std::optional<std::string>& text, std::int64_t& out) {
   if (!text.has_value() || text->empty() || text->size() > 20) return false;
   errno = 0;
   char* end = nullptr;
@@ -78,7 +181,7 @@ bool to_i64(const std::optional<std::string>& text, std::int64_t& out) {
   return true;
 }
 
-bool to_u64(const std::optional<std::string>& text, std::uint64_t& out) {
+bool parse_value(const std::optional<std::string>& text, std::uint64_t& out) {
   if (!text.has_value() || text->empty() || text->size() > 20 ||
       (*text)[0] == '-') {
     return false;
@@ -91,7 +194,7 @@ bool to_u64(const std::optional<std::string>& text, std::uint64_t& out) {
   return true;
 }
 
-bool to_double(const std::optional<std::string>& text, double& out) {
+bool parse_value(const std::optional<std::string>& text, double& out) {
   if (!text.has_value() || text->empty()) return false;
   char* end = nullptr;
   const double value = std::strtod(text->c_str(), &end);
@@ -100,13 +203,32 @@ bool to_double(const std::optional<std::string>& text, double& out) {
   return true;
 }
 
-bool to_int(const std::optional<std::string>& text, int& out) {
+bool parse_value(const std::optional<std::string>& text, int& out) {
   std::int64_t wide = 0;
-  if (!to_i64(text, wide) || wide < INT32_MIN || wide > INT32_MAX) {
+  if (!parse_value(text, wide) || wide < INT32_MIN || wide > INT32_MAX) {
     return false;
   }
   out = static_cast<int>(wide);
   return true;
+}
+
+bool parse_value(const std::optional<std::string>& text, std::string& out) {
+  if (!text.has_value()) return false;
+  out = *text;
+  return true;
+}
+
+bool parse_value(const std::optional<std::string>& text, bool& out) {
+  if (!text.has_value() || (*text != "true" && *text != "false")) {
+    return false;
+  }
+  out = *text == "true";
+  return true;
+}
+
+double mean_miss(const GroupStat& stat) {
+  return stat.cells > 0 ? stat.miss_ratio_sum / static_cast<double>(stat.cells)
+                        : 0.0;
 }
 
 void fold_group(std::map<std::string, GroupStat>& groups,
@@ -124,17 +246,11 @@ void render_groups(std::string& out, const char* title,
   out += title;
   out += ":\n";
   for (const auto& [key, stat] : groups) {
-    char buf[160];
-    std::snprintf(buf, sizeof buf,
-                  "  %-24s cells=%-6" PRId64 " released=%-9" PRId64
-                  " missed=%-7" PRId64 " mean_miss=%s\n",
-                  key.c_str(), stat.cells, stat.released, stat.missed,
-                  format_double(stat.cells > 0
-                                    ? stat.miss_ratio_sum /
-                                          static_cast<double>(stat.cells)
-                                    : 0.0)
-                      .c_str());
-    out += buf;
+    out += "  " + padded(key, 24) +
+           " cells=" + padded(std::to_string(stat.cells), 6) +
+           " released=" + padded(std::to_string(stat.released), 9) +
+           " missed=" + padded(std::to_string(stat.missed), 7) +
+           " mean_miss=" + format_double(mean_miss(stat)) + "\n";
   }
 }
 
@@ -152,16 +268,21 @@ void render_groups_json(std::string& out, const char* key,
     out += "\":{\"cells\":" + std::to_string(stat.cells);
     out += ",\"released\":" + std::to_string(stat.released);
     out += ",\"missed\":" + std::to_string(stat.missed);
-    out += ",\"mean_miss\":" +
-           format_double(stat.cells > 0 ? stat.miss_ratio_sum /
-                                              static_cast<double>(stat.cells)
-                                        : 0.0);
+    out += ",\"mean_miss\":" + format_double(mean_miss(stat));
     out += '}';
   }
   out += '}';
 }
 
 }  // namespace
+
+std::vector<RowCounterKey> row_counter_keys() {
+  std::vector<RowCounterKey> keys;
+  for (const Counter& counter : kCounters) {
+    keys.push_back({counter.key, counter.presence == kOptional});
+  }
+  return keys;
+}
 
 ResultRow make_row(const ScenarioSpec& spec,
                    const core::ExperimentResult& result) {
@@ -253,28 +374,11 @@ std::string render_row(const ResultRow& row) {
     out += '}';
     return out;
   }
-  out += ",\"released\":" + std::to_string(row.released);
-  out += ",\"delivered\":" + std::to_string(row.delivered);
-  out += ",\"missed\":" + std::to_string(row.missed);
-  out += ",\"source_lost\":" + std::to_string(row.source_lost);
-  out += ",\"copies_sent\":" + std::to_string(row.copies_sent);
-  out += ",\"cycles\":" + std::to_string(row.cycles);
-  out += ",\"miss_ratio\":" + format_double(row.miss_ratio);
-  out += ",\"degraded\":" + std::string(row.degraded ? "true" : "false");
-  out += ",\"plan_swaps\":" + std::to_string(row.plan_swaps);
-  out += ",\"failovers\":" + std::to_string(row.failovers);
-  out += ",\"frames_lost\":" + std::to_string(row.frames_lost);
-  out += ",\"s_released\":" + std::to_string(row.s_released);
-  out += ",\"s_missed\":" + std::to_string(row.s_missed);
-  out += ",\"d_released\":" + std::to_string(row.d_released);
-  out += ",\"d_missed\":" + std::to_string(row.d_missed);
-  out += ",\"m_changes\":" + std::to_string(row.m_changes);
-  out += ",\"m_shed\":" + std::to_string(row.m_shed);
-  out += ",\"m_matchup\":" + std::to_string(row.m_matchup);
-  out += ",\"m_dwell_l1\":" + std::to_string(row.m_dwell_l1);
-  out += ",\"m_dwell_l2\":" + std::to_string(row.m_dwell_l2);
-  out += ",\"e_total_uj\":" + format_double(row.e_total_uj);
-  out += ",\"e_sleep_uj\":" + format_double(row.e_sleep_uj);
+  for (const Counter& counter : kCounters) {
+    append_key(out, counter.key);
+    std::visit([&](auto field) { append_value(out, row.*field); },
+               counter.field);
+  }
   out += '}';
   return out;
 }
@@ -284,10 +388,10 @@ std::optional<ResultRow> parse_row(std::string_view line) {
     return std::nullopt;
   }
   ResultRow row;
-  if (!to_i64(json_field(line, "cell"), row.cell) || row.cell < 0) {
+  if (!parse_value(json_field(line, "cell"), row.cell) || row.cell < 0) {
     return std::nullopt;
   }
-  if (!to_u64(json_field(line, "seed"), row.seed)) return std::nullopt;
+  if (!parse_value(json_field(line, "seed"), row.seed)) return std::nullopt;
   const auto status = json_field(line, "status");
   if (!status.has_value() ||
       (*status != "ok" && *status != "failed" && *status != "shed")) {
@@ -296,97 +400,30 @@ std::optional<ResultRow> parse_row(std::string_view line) {
   row.status = *status;
   if (row.status == "shed") return row;
 
-  const auto scheme = json_field(line, "scheme");
-  const auto fault = json_field(line, "fault");
-  const auto structural = json_field(line, "structural");
-  if (!scheme.has_value() || !fault.has_value() || !structural.has_value()) {
-    return std::nullopt;
-  }
-  row.scheme = *scheme;
-  row.fault = *fault;
-  row.structural = *structural;
-  if (!to_int(json_field(line, "nodes"), row.nodes) ||
-      !to_int(json_field(line, "statics"), row.statics) ||
-      !to_int(json_field(line, "dynamics"), row.dynamics) ||
-      !to_double(json_field(line, "util"), row.util) ||
-      !to_double(json_field(line, "ber"), row.ber)) {
+  if (!parse_value(json_field(line, "scheme"), row.scheme) ||
+      !parse_value(json_field(line, "fault"), row.fault) ||
+      !parse_value(json_field(line, "structural"), row.structural) ||
+      !parse_value(json_field(line, "nodes"), row.nodes) ||
+      !parse_value(json_field(line, "statics"), row.statics) ||
+      !parse_value(json_field(line, "dynamics"), row.dynamics) ||
+      !parse_value(json_field(line, "util"), row.util) ||
+      !parse_value(json_field(line, "ber"), row.ber)) {
     return std::nullopt;
   }
   if (row.status == "failed") {
-    const auto reason = json_field(line, "reason");
-    if (!to_int(json_field(line, "attempts"), row.attempts) ||
-        !reason.has_value()) {
+    if (!parse_value(json_field(line, "attempts"), row.attempts) ||
+        !parse_value(json_field(line, "reason"), row.reason)) {
       return std::nullopt;
     }
-    row.reason = *reason;
     return row;
   }
-  const auto degraded = json_field(line, "degraded");
-  if (!to_i64(json_field(line, "released"), row.released) ||
-      !to_i64(json_field(line, "delivered"), row.delivered) ||
-      !to_i64(json_field(line, "missed"), row.missed) ||
-      !to_i64(json_field(line, "source_lost"), row.source_lost) ||
-      !to_i64(json_field(line, "copies_sent"), row.copies_sent) ||
-      !to_i64(json_field(line, "cycles"), row.cycles) ||
-      !to_double(json_field(line, "miss_ratio"), row.miss_ratio) ||
-      !degraded.has_value() ||
-      (*degraded != "true" && *degraded != "false") ||
-      !to_i64(json_field(line, "plan_swaps"), row.plan_swaps) ||
-      !to_i64(json_field(line, "failovers"), row.failovers) ||
-      !to_i64(json_field(line, "frames_lost"), row.frames_lost)) {
-    return std::nullopt;
-  }
-  row.degraded = *degraded == "true";
-  // Static-segment counts arrived in a later schema revision: absent on
-  // old rows (default 0), rejected only when present-but-garbled.
-  const auto s_released = json_field(line, "s_released");
-  if (s_released.has_value() && !to_i64(s_released, row.s_released)) {
-    return std::nullopt;
-  }
-  const auto s_missed = json_field(line, "s_missed");
-  if (s_missed.has_value() && !to_i64(s_missed, row.s_missed)) {
-    return std::nullopt;
-  }
-  // Dynamic-segment counts arrived with the DynWcrt cross-check: same
-  // tolerant treatment (absent = 0, the dynamic cross-check skips rows
-  // with d_released == 0 rather than miscounting them).
-  const auto d_released = json_field(line, "d_released");
-  if (d_released.has_value() && !to_i64(d_released, row.d_released)) {
-    return std::nullopt;
-  }
-  const auto d_missed = json_field(line, "d_missed");
-  if (d_missed.has_value() && !to_i64(d_missed, row.d_missed)) {
-    return std::nullopt;
-  }
-  // Mode/energy counters arrived with the mixed-criticality protocol
-  // (DESIGN.md §16): absent = 0, rejected only when present-but-garbled.
-  const auto m_changes = json_field(line, "m_changes");
-  if (m_changes.has_value() && !to_i64(m_changes, row.m_changes)) {
-    return std::nullopt;
-  }
-  const auto m_shed = json_field(line, "m_shed");
-  if (m_shed.has_value() && !to_i64(m_shed, row.m_shed)) {
-    return std::nullopt;
-  }
-  const auto m_matchup = json_field(line, "m_matchup");
-  if (m_matchup.has_value() && !to_i64(m_matchup, row.m_matchup)) {
-    return std::nullopt;
-  }
-  const auto m_dwell_l1 = json_field(line, "m_dwell_l1");
-  if (m_dwell_l1.has_value() && !to_i64(m_dwell_l1, row.m_dwell_l1)) {
-    return std::nullopt;
-  }
-  const auto m_dwell_l2 = json_field(line, "m_dwell_l2");
-  if (m_dwell_l2.has_value() && !to_i64(m_dwell_l2, row.m_dwell_l2)) {
-    return std::nullopt;
-  }
-  const auto e_total_uj = json_field(line, "e_total_uj");
-  if (e_total_uj.has_value() && !to_double(e_total_uj, row.e_total_uj)) {
-    return std::nullopt;
-  }
-  const auto e_sleep_uj = json_field(line, "e_sleep_uj");
-  if (e_sleep_uj.has_value() && !to_double(e_sleep_uj, row.e_sleep_uj)) {
-    return std::nullopt;
+  for (const Counter& counter : kCounters) {
+    const auto text = json_field(line, counter.key);
+    if (!text.has_value() && counter.presence == kOptional) continue;
+    const bool parsed = std::visit(
+        [&](auto field) { return parse_value(text, row.*field); },
+        counter.field);
+    if (!parsed) return std::nullopt;
   }
   return row;
 }
@@ -455,24 +492,16 @@ CampaignAggregate aggregate_rows(const std::vector<ResultRow>& rows,
       continue;
     }
     ++agg.ok;
-    agg.released += row.released;
-    agg.delivered += row.delivered;
-    agg.missed += row.missed;
-    agg.source_lost += row.source_lost;
-    agg.copies_sent += row.copies_sent;
-    agg.cycles += row.cycles;
-    agg.plan_swaps += row.plan_swaps;
-    agg.failovers += row.failovers;
-    agg.d_released += row.d_released;
-    agg.d_missed += row.d_missed;
-    agg.m_changes += row.m_changes;
-    agg.m_shed += row.m_shed;
-    agg.m_matchup += row.m_matchup;
-    agg.m_dwell_l1 += row.m_dwell_l1;
-    agg.m_dwell_l2 += row.m_dwell_l2;
-    agg.e_total_uj += row.e_total_uj;
-    agg.e_sleep_uj += row.e_sleep_uj;
-    if (row.degraded) ++agg.degraded_plans;
+    for (const Counter& counter : kCounters) {
+      if (counter.fold == kNoFold) continue;
+      // kSum adds the value; kCountTrue adds a bool, i.e. 1 per true row.
+      std::visit(
+          [&](auto total, auto field) {
+            using Total = std::remove_reference_t<decltype(agg.*total)>;
+            agg.*total += static_cast<Total>(row.*field);
+          },
+          counter.total, counter.field);
+    }
     agg.miss_ratio_mean += row.miss_ratio;
     agg.miss_ratio_max = std::max(agg.miss_ratio_max, row.miss_ratio);
     fold_group(agg.by_scheme, row.scheme, row);
@@ -491,63 +520,39 @@ CampaignAggregate aggregate_rows(const std::vector<ResultRow>& rows,
 
 std::string render_report_text(const CampaignAggregate& agg,
                                const CampaignManifest& manifest) {
-  std::string out;
-  char buf[256];
-  std::snprintf(buf, sizeof buf,
-                "campaign  : %s seed=%" PRIu64 " cells=%" PRId64
-                " shards=%d isolation=%s\n",
-                manifest.name.c_str(), manifest.seed, manifest.cells,
-                manifest.shards, to_string(manifest.isolation));
-  out += buf;
-  std::snprintf(buf, sizeof buf,
-                "cells     : ok=%" PRId64 " failed=%" PRId64 " shed=%" PRId64
-                " missing=%" PRId64 " / %" PRId64 "\n",
-                agg.ok, agg.failed, agg.shed, agg.missing, agg.expected);
-  out += buf;
-  std::snprintf(buf, sizeof buf,
-                "instances : released=%" PRId64 " delivered=%" PRId64
-                " missed=%" PRId64 " source_lost=%" PRId64 "\n",
-                agg.released, agg.delivered, agg.missed, agg.source_lost);
-  out += buf;
-  std::snprintf(buf, sizeof buf,
-                "dynamic   : released=%" PRId64 " missed=%" PRId64 "\n",
-                agg.d_released, agg.d_missed);
-  out += buf;
-  std::snprintf(buf, sizeof buf,
-                "miss      : mean=%s max=%s | degraded_plans=%" PRId64
-                " plan_swaps=%" PRId64 " failovers=%" PRId64 "\n",
-                format_double(agg.miss_ratio_mean).c_str(),
-                format_double(agg.miss_ratio_max).c_str(), agg.degraded_plans,
-                agg.plan_swaps, agg.failovers);
-  out += buf;
-  std::snprintf(buf, sizeof buf,
-                "wire      : copies_sent=%" PRId64 " cycles=%" PRId64 "\n",
-                agg.copies_sent, agg.cycles);
-  out += buf;
-  std::snprintf(buf, sizeof buf,
-                "mode      : changes=%" PRId64 " shed=%" PRId64
-                " matchup=%" PRId64 " dwell_l1=%" PRId64 " dwell_l2=%" PRId64
-                "\n",
-                agg.m_changes, agg.m_shed, agg.m_matchup, agg.m_dwell_l1,
-                agg.m_dwell_l2);
-  out += buf;
-  std::snprintf(buf, sizeof buf, "energy    : total_uj=%s sleep_saved_uj=%s\n",
-                format_double(agg.e_total_uj).c_str(),
-                format_double(agg.e_sleep_uj).c_str());
-  out += buf;
+  std::string out = "campaign  : " + manifest.name +
+                    " seed=" + std::to_string(manifest.seed) +
+                    " cells=" + std::to_string(manifest.cells) +
+                    " shards=" + std::to_string(manifest.shards) +
+                    " isolation=" + to_string(manifest.isolation) + "\n";
+  out += "cells     : ok=" + std::to_string(agg.ok) +
+         " failed=" + std::to_string(agg.failed) +
+         " shed=" + std::to_string(agg.shed) +
+         " missing=" + std::to_string(agg.missing) + " / " +
+         std::to_string(agg.expected);
+  for (const TextTotal& entry : kTextTotals) {
+    if (!entry.line.empty()) {
+      out += '\n';
+      out += entry.line;
+    }
+    out += ' ';
+    out += entry.name;
+    out += '=';
+    std::visit([&](auto total) { append_value(out, agg.*total); },
+               entry.total);
+  }
+  out += '\n';
   render_groups(out, "by scheme", agg.by_scheme);
   render_groups(out, "by fault model", agg.by_fault);
   render_groups(out, "by structural fault", agg.by_structural);
   if (!agg.quarantined.empty()) {
     out += "quarantined cells (rerun with the repro seed):\n";
     for (const ResultRow& row : agg.quarantined) {
-      std::snprintf(buf, sizeof buf,
-                    "  cell=%" PRId64 " seed=%" PRIu64
-                    " attempts=%d reason=%s scheme=%s fault=%s+%s\n",
-                    row.cell, row.seed, row.attempts, row.reason.c_str(),
-                    row.scheme.c_str(), row.fault.c_str(),
-                    row.structural.c_str());
-      out += buf;
+      out += "  cell=" + std::to_string(row.cell) +
+             " seed=" + std::to_string(row.seed) +
+             " attempts=" + std::to_string(row.attempts) +
+             " reason=" + row.reason + " scheme=" + row.scheme +
+             " fault=" + row.fault + "+" + row.structural + "\n";
     }
   }
   if (!agg.missing_cells.empty()) {
@@ -573,24 +578,13 @@ std::string render_report_json(const CampaignAggregate& agg,
   out += ",\"failed\":" + std::to_string(agg.failed);
   out += ",\"shed\":" + std::to_string(agg.shed);
   out += ",\"missing\":" + std::to_string(agg.missing);
-  out += ",\"released\":" + std::to_string(agg.released);
-  out += ",\"delivered\":" + std::to_string(agg.delivered);
-  out += ",\"missed\":" + std::to_string(agg.missed);
-  out += ",\"source_lost\":" + std::to_string(agg.source_lost);
-  out += ",\"copies_sent\":" + std::to_string(agg.copies_sent);
-  out += ",\"cycles\":" + std::to_string(agg.cycles);
-  out += ",\"degraded_plans\":" + std::to_string(agg.degraded_plans);
-  out += ",\"plan_swaps\":" + std::to_string(agg.plan_swaps);
-  out += ",\"failovers\":" + std::to_string(agg.failovers);
-  out += ",\"d_released\":" + std::to_string(agg.d_released);
-  out += ",\"d_missed\":" + std::to_string(agg.d_missed);
-  out += ",\"m_changes\":" + std::to_string(agg.m_changes);
-  out += ",\"m_shed\":" + std::to_string(agg.m_shed);
-  out += ",\"m_matchup\":" + std::to_string(agg.m_matchup);
-  out += ",\"m_dwell_l1\":" + std::to_string(agg.m_dwell_l1);
-  out += ",\"m_dwell_l2\":" + std::to_string(agg.m_dwell_l2);
-  out += ",\"e_total_uj\":" + format_double(agg.e_total_uj);
-  out += ",\"e_sleep_uj\":" + format_double(agg.e_sleep_uj);
+  for (const Counter& counter : kCounters) {
+    if (counter.fold == kNoFold) continue;
+    append_key(out, counter.total_key.empty() ? counter.key
+                                              : counter.total_key);
+    std::visit([&](auto total) { append_value(out, agg.*total); },
+               counter.total);
+  }
   out += ",\"miss_ratio_mean\":" + format_double(agg.miss_ratio_mean);
   out += ",\"miss_ratio_max\":" + format_double(agg.miss_ratio_max);
   out += ',';

@@ -81,6 +81,13 @@ struct ResultRow {
 
 /// One JSON object, fixed key order, no trailing newline.
 [[nodiscard]] std::string render_row(const ResultRow& row);
+/// The ok-row counter keys in row order. Optional keys arrived after the
+/// first row schema: absent parses as 0, garbled rejects the row.
+struct RowCounterKey {
+  std::string_view key;
+  bool optional = false;
+};
+[[nodiscard]] std::vector<RowCounterKey> row_counter_keys();
 /// Tolerant flat-JSON parse; nullopt on anything unusable. Never
 /// throws (fuzzed).
 [[nodiscard]] std::optional<ResultRow> parse_row(std::string_view line);
@@ -119,11 +126,8 @@ struct CampaignAggregate {
   std::int64_t degraded_plans = 0;
   std::int64_t plan_swaps = 0;
   std::int64_t failovers = 0;
-  /// Dynamic-segment instance totals (0 on campaigns from older row
-  /// schemas, whose rows carry no d_* counters).
   std::int64_t d_released = 0;
   std::int64_t d_missed = 0;
-  /// Mode/energy totals (0 on campaigns from older row schemas).
   std::int64_t m_changes = 0;
   std::int64_t m_shed = 0;
   std::int64_t m_matchup = 0;

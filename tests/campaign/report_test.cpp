@@ -8,7 +8,9 @@
 
 #include <cstdio>
 #include <fstream>
+#include <set>
 #include <string>
+#include <utility>
 
 namespace coeff::campaign {
 namespace {
@@ -301,6 +303,231 @@ TEST(Aggregate, ModeAndEnergyCountersFoldAcrossEras) {
   const std::string text = render_report_text(aggregate, manifest);
   EXPECT_NE(text.find("mode"), std::string::npos);
   EXPECT_NE(text.find("energy"), std::string::npos);
+}
+
+// Golden formats: exact bytes of every row status and of both report
+// renderings, so a refactor of the writers cannot drift them silently.
+
+ResultRow golden_failed_row() {
+  ResultRow row;
+  row.cell = 2;
+  row.seed = 1002;
+  row.status = "failed";
+  row.scheme = "hosa";
+  row.fault = "gilbert-elliott";
+  row.structural = "crash";
+  row.nodes = 16;
+  row.statics = 40;
+  row.dynamics = 10;
+  row.util = 0.5;
+  row.ber = 1e-7;
+  row.attempts = 2;
+  row.reason = "watchdog-timeout";
+  return row;
+}
+
+ResultRow golden_shed_row() {
+  ResultRow row;
+  row.cell = 3;
+  row.seed = 1003;
+  row.status = "shed";
+  return row;
+}
+
+/// A row from a campaign that predates the s_*/d_*/m_*/e_* counters.
+constexpr const char* kGoldenLegacyRow =
+    "{\"cell\":1,\"seed\":1001,\"status\":\"ok\",\"scheme\":\"fspec\","
+    "\"fault\":\"common-mode\",\"structural\":\"blackout\",\"nodes\":4,"
+    "\"statics\":12,\"dynamics\":3,\"util\":0.45,\"ber\":1e-05,"
+    "\"released\":50,\"delivered\":47,\"missed\":3,\"source_lost\":1,"
+    "\"copies_sent\":90,\"cycles\":10,\"miss_ratio\":0.06,"
+    "\"degraded\":true,\"plan_swaps\":1,\"failovers\":2,\"frames_lost\":4}";
+
+TEST(Golden, RowBytes) {
+  ResultRow ok = ok_row(0);
+  ok.frames_lost = 3;
+  ok.s_released = 70;
+  ok.s_missed = 1;
+  EXPECT_EQ(render_row(ok),
+            "{\"cell\":0,\"seed\":1000,\"status\":\"ok\",\"scheme\":"
+            "\"coefficient\",\"fault\":\"iid\",\"structural\":\"none\","
+            "\"nodes\":8,\"statics\":20,\"dynamics\":6,\"util\":0.31,"
+            "\"ber\":1e-06,\"released\":100,\"delivered\":98,\"missed\":2,"
+            "\"source_lost\":0,\"copies_sent\":140,\"cycles\":20,"
+            "\"miss_ratio\":0.02,\"degraded\":false,\"plan_swaps\":0,"
+            "\"failovers\":0,\"frames_lost\":3,\"s_released\":70,"
+            "\"s_missed\":1,\"d_released\":30,\"d_missed\":1,"
+            "\"m_changes\":2,\"m_shed\":5,\"m_matchup\":4,\"m_dwell_l1\":6,"
+            "\"m_dwell_l2\":1,\"e_total_uj\":12.5,\"e_sleep_uj\":1.25}");
+  EXPECT_EQ(render_row(golden_failed_row()),
+            "{\"cell\":2,\"seed\":1002,\"status\":\"failed\",\"scheme\":"
+            "\"hosa\",\"fault\":\"gilbert-elliott\",\"structural\":\"crash\","
+            "\"nodes\":16,\"statics\":40,\"dynamics\":10,\"util\":0.5,"
+            "\"ber\":1e-07,\"attempts\":2,\"reason\":\"watchdog-timeout\"}");
+  EXPECT_EQ(render_row(golden_shed_row()),
+            "{\"cell\":3,\"seed\":1003,\"status\":\"shed\"}");
+}
+
+CampaignAggregate golden_aggregate() {
+  ResultRow ok = ok_row(0);
+  ok.frames_lost = 3;
+  ok.s_released = 70;
+  ok.s_missed = 1;
+  const auto legacy = parse_row(kGoldenLegacyRow);
+  EXPECT_TRUE(legacy.has_value());
+  // Cells 4 and 5 of 6 never reported: the missing pair.
+  return aggregate_rows(
+      {ok, legacy.value_or(ResultRow{}), golden_failed_row(),
+       golden_shed_row()},
+      6);
+}
+
+CampaignManifest golden_manifest() {
+  CampaignManifest manifest;
+  manifest.name = "golden";
+  manifest.seed = 2026;
+  manifest.cells = 6;
+  manifest.shards = 2;
+  return manifest;
+}
+
+TEST(Golden, ReportTextBytes) {
+  EXPECT_EQ(
+      render_report_text(golden_aggregate(), golden_manifest()),
+      "campaign  : golden seed=2026 cells=6 shards=2 isolation=process\n"
+      "cells     : ok=2 failed=1 shed=1 missing=2 / 6\n"
+      "instances : released=150 delivered=145 missed=5 source_lost=1\n"
+      "dynamic   : released=30 missed=1\n"
+      "miss      : mean=0.04 max=0.06 | degraded_plans=1 plan_swaps=1 "
+      "failovers=2\n"
+      "wire      : copies_sent=230 cycles=30\n"
+      "mode      : changes=2 shed=5 matchup=4 dwell_l1=6 dwell_l2=1\n"
+      "energy    : total_uj=12.5 sleep_saved_uj=1.25\n"
+      "by scheme:\n"
+      "  coefficient              cells=1      released=100       "
+      "missed=2       mean_miss=0.02\n"
+      "  fspec                    cells=1      released=50        "
+      "missed=3       mean_miss=0.06\n"
+      "by fault model:\n"
+      "  common-mode              cells=1      released=50        "
+      "missed=3       mean_miss=0.06\n"
+      "  iid                      cells=1      released=100       "
+      "missed=2       mean_miss=0.02\n"
+      "by structural fault:\n"
+      "  blackout                 cells=1      released=50        "
+      "missed=3       mean_miss=0.06\n"
+      "  none                     cells=1      released=100       "
+      "missed=2       mean_miss=0.02\n"
+      "quarantined cells (rerun with the repro seed):\n"
+      "  cell=2 seed=1002 attempts=2 reason=watchdog-timeout scheme=hosa "
+      "fault=gilbert-elliott+crash\n"
+      "missing cells: 4 5\n");
+}
+
+TEST(Golden, ReportJsonBytes) {
+  EXPECT_EQ(
+      render_report_json(golden_aggregate(), golden_manifest()),
+      "{\"campaign\":\"golden\",\"seed\":2026,\"cells\":6,\"ok\":2,"
+      "\"failed\":1,\"shed\":1,\"missing\":2,\"released\":150,"
+      "\"delivered\":145,\"missed\":5,\"source_lost\":1,\"copies_sent\":230,"
+      "\"cycles\":30,\"degraded_plans\":1,\"plan_swaps\":1,\"failovers\":2,"
+      "\"d_released\":30,\"d_missed\":1,\"m_changes\":2,\"m_shed\":5,"
+      "\"m_matchup\":4,\"m_dwell_l1\":6,\"m_dwell_l2\":1,"
+      "\"e_total_uj\":12.5,\"e_sleep_uj\":1.25,\"miss_ratio_mean\":0.04,"
+      "\"miss_ratio_max\":0.06,\"by_scheme\":{\"coefficient\":{\"cells\":1,"
+      "\"released\":100,\"missed\":2,\"mean_miss\":0.02},\"fspec\":{"
+      "\"cells\":1,\"released\":50,\"missed\":3,\"mean_miss\":0.06}},"
+      "\"by_fault\":{\"common-mode\":{\"cells\":1,\"released\":50,"
+      "\"missed\":3,\"mean_miss\":0.06},\"iid\":{\"cells\":1,"
+      "\"released\":100,\"missed\":2,\"mean_miss\":0.02}},"
+      "\"by_structural\":{\"blackout\":{\"cells\":1,\"released\":50,"
+      "\"missed\":3,\"mean_miss\":0.06},\"none\":{\"cells\":1,"
+      "\"released\":100,\"missed\":2,\"mean_miss\":0.02}},"
+      "\"quarantined\":[{\"cell\":2,\"seed\":1002,\"status\":\"failed\","
+      "\"scheme\":\"hosa\",\"fault\":\"gilbert-elliott\",\"structural\":"
+      "\"crash\",\"nodes\":16,\"statics\":40,\"dynamics\":10,\"util\":0.5,"
+      "\"ber\":1e-07,\"attempts\":2,\"reason\":\"watchdog-timeout\"}]}");
+}
+
+TEST(Golden, LongCampaignNameKeepsTheFirstLineWhole) {
+  CampaignManifest manifest = golden_manifest();
+  manifest.name = std::string(300, 'n');
+  const std::string text = render_report_text(golden_aggregate(), manifest);
+  const std::string first = "campaign  : " + manifest.name +
+                            " seed=2026 cells=6 shards=2 isolation=process\n";
+  EXPECT_EQ(text.substr(0, first.size()), first);
+  EXPECT_EQ(text.compare(first.size(), 11, "cells     :"), 0);
+}
+
+// Schema coverage driven by the counter table: a new counter gets it
+// with no new test code.
+
+/// [start, end) of the value of `"key":` in a rendered row.
+std::pair<std::size_t, std::size_t> value_span(const std::string& line,
+                                               std::string_view key) {
+  const std::string needle = "\"" + std::string(key) + "\":";
+  const auto at = line.find(needle);
+  EXPECT_NE(at, std::string::npos) << key;
+  if (at == std::string::npos) return {line.size(), line.size()};
+  const auto start = at + needle.size();
+  return {start, line.find_first_of(",}", start)};
+}
+
+TEST(RowSchema, KeysAreUnique) {
+  std::set<std::string_view> seen;
+  for (const RowCounterKey& counter : row_counter_keys()) {
+    EXPECT_TRUE(seen.insert(counter.key).second) << counter.key;
+  }
+  EXPECT_FALSE(seen.empty());
+}
+
+TEST(RowSchema, EveryKeyRoundTrips) {
+  // A distinct value per counter: re-rendering the parsed row must give
+  // the same bytes, so every key reaches its own field and back.
+  std::string line = render_row(ok_row(7));
+  int distinct = 100;
+  for (const RowCounterKey& counter : row_counter_keys()) {
+    const auto [start, end] = value_span(line, counter.key);
+    const std::string old = line.substr(start, end - start);
+    const std::string value = old == "true"    ? "false"
+                              : old == "false" ? "true"
+                                               : std::to_string(distinct++);
+    line.replace(start, end - start, value);
+  }
+  const auto parsed = parse_row(line);
+  ASSERT_TRUE(parsed.has_value()) << line;
+  EXPECT_EQ(render_row(*parsed), line);
+}
+
+TEST(RowSchema, OptionalKeysParseAbsentAsZero) {
+  const std::string full = render_row(ok_row(7));
+  for (const RowCounterKey& counter : row_counter_keys()) {
+    const auto [start, end] = value_span(full, counter.key);
+    const auto pair_start = full.rfind(',', start);
+    std::string line = full;
+    line.erase(pair_start, end - pair_start);
+    const auto parsed = parse_row(line);
+    if (!counter.optional) {
+      EXPECT_FALSE(parsed.has_value()) << "required key dropped: " << line;
+      continue;
+    }
+    ASSERT_TRUE(parsed.has_value()) << line;
+    std::string expected = full;
+    expected.replace(start, end - start, "0");
+    EXPECT_EQ(render_row(*parsed), expected) << counter.key;
+  }
+}
+
+TEST(RowSchema, GarbledValuesRejectTheRow) {
+  const std::string full = render_row(ok_row(7));
+  for (const RowCounterKey& counter : row_counter_keys()) {
+    const auto [start, end] = value_span(full, counter.key);
+    for (const char* garbage : {"xyz", "12abc", "nan", "1e400"}) {
+      std::string line = full;
+      line.replace(start, end - start, garbage);
+      EXPECT_FALSE(parse_row(line).has_value()) << line;
+    }
+  }
 }
 
 }  // namespace

@@ -13,6 +13,8 @@
 //            --window-ms 1000 --seed 7
 //   coeffctl lint --workload apps --sil 3
 //   coeffctl lint --statics my_matrix.csv --trace --sarif report.sarif
+#include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -198,6 +200,22 @@ void usage_hint() {
       stderr);
 }
 
+/// Parse a `--seed` value: all of it, unsigned decimal, no sign. A
+/// seed is a repro handle, so saturating or defaulting would lose it.
+bool parse_seed(const char* text, std::uint64_t& seed) {
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long value = std::strtoull(text, &end, 10);
+  if (!std::isdigit(static_cast<unsigned char>(text[0])) || errno != 0 ||
+      *end != '\0') {
+    std::fprintf(stderr, "coeffctl: bad --seed '%s' (want 0..2^64-1)\n",
+                 text);
+    return false;
+  }
+  seed = value;
+  return true;
+}
+
 void campaign_usage() {
   std::puts(
       "coeffctl campaign — crash-safe sharded scenario campaigns (DESIGN.md §13)\n"
@@ -337,7 +355,7 @@ bool parse(int argc, char** argv, CliOptions& opt) {
     } else if (arg == "--window-ms") {
       opt.window_ms = std::atoll(next("--window-ms"));
     } else if (arg == "--seed") {
-      opt.seed = static_cast<std::uint64_t>(std::atoll(next("--seed")));
+      if (!parse_seed(next("--seed"), opt.seed)) return false;
     } else if (arg == "--burst") {
       opt.burst = std::atoi(next("--burst"));
     } else if (arg == "--drain") {
@@ -853,7 +871,7 @@ bool parse_campaign(int argc, char** argv, CampaignCli& cli) {
     } else if (arg == "--cells") {
       m.cells = std::atoll(next("--cells"));
     } else if (arg == "--seed") {
-      m.seed = static_cast<std::uint64_t>(std::atoll(next("--seed")));
+      if (!parse_seed(next("--seed"), m.seed)) return false;
     } else if (arg == "--shards") {
       m.shards = std::atoi(next("--shards"));
     } else if (arg == "--name") {
