@@ -12,35 +12,11 @@
 #include "core/experiment.hpp"
 #include "core/sweep.hpp"
 #include "fault/structural.hpp"
-#include "net/workloads.hpp"
+#include "run_fixtures.hpp"
 #include "sim/trace.hpp"
 
 namespace coeff::core {
 namespace {
-
-/// Render a trace as CSV. Differential assertions compare these
-/// strings wholesale, so any drift in record order, timestamps, tags or
-/// notes between the two engines fails loudly with a real diff.
-std::string trace_csv(const sim::Trace& trace) {
-  std::string out = "at_ns,kind,a,b,c,d,note\n";
-  for (const auto& r : trace.records()) {
-    out += std::to_string(r.at.ns());
-    out += ',';
-    out += sim::to_string(r.kind);
-    out += ',';
-    out += std::to_string(r.a);
-    out += ',';
-    out += std::to_string(r.b);
-    out += ',';
-    out += std::to_string(r.c);
-    out += ',';
-    out += std::to_string(r.d);
-    out += ',';
-    out += r.note;
-    out += '\n';
-  }
-  return out;
-}
 
 struct EngineRun {
   ExperimentResult result;
@@ -56,24 +32,6 @@ EngineRun run_with_engine(ExperimentConfig config, SchemeKind scheme,
   run.result = run_experiment(config, scheme);
   run.csv = trace_csv(trace);
   return run;
-}
-
-/// The workload shared by the grid: BBW statics + SAE aperiodics on the
-/// 1 ms application cluster, hot enough BER that fault verdicts matter.
-ExperimentConfig grid_config() {
-  ExperimentConfig config;
-  config.cluster = paper_cluster_apps();
-  config.statics = net::brake_by_wire();
-  sim::Rng rng(3);
-  net::SaeAperiodicOptions sae;
-  sae.static_slots = static_cast<int>(config.cluster.g_number_of_static_slots);
-  sae.count = 20;
-  config.dynamics = net::sae_aperiodic(sae, rng);
-  config.ber = 1e-5;
-  config.sil = fault::Sil::kSil3;
-  config.batch_window = sim::millis(60);
-  config.seed = 11;
-  return config;
 }
 
 void expect_identical(const EngineRun& compiled, const EngineRun& interpreted) {
