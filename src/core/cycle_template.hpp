@@ -7,9 +7,16 @@
 // retransmission plan answers "how many copies?" through a hash lookup.
 // The interpreted walk pays all three on every slot of every cycle.
 // This template precomputes the composition once per (table, plan) pair
-// into flat arrays over [cycle-in-period × slot] — SoA: message ref,
-// owner node, payload bits, retransmission-budget class — so the
-// steady-state walk is one index computation and contiguous loads.
+// into flat arrays — SoA: message ref, owner node, payload bits,
+// retransmission-budget class — so the steady-state walk is one index
+// computation and contiguous loads.
+//
+// Each static slot gets its own ring of P_s cells, P_s being the LCM of
+// the repetitions of that slot's occupants (1 when idle); the rings sit
+// back to back. Storage and build cost are sum_s P_s cells rather than
+// table period × slots: a multiplexed table whose period is 2520 cycles
+// compiles to a few hundred cells, and coprime periods in different
+// slots never multiply together.
 //
 // The template is a pure cache: it must be rebuilt (rebuild()) whenever
 // any input changes — a plan swap, a membership change, or failover
@@ -101,26 +108,32 @@ class CycleTemplate {
   [[nodiscard]] std::int64_t version() const { return version_; }
   /// Cycles until the compiled pattern repeats (the table period).
   [[nodiscard]] std::int64_t period_cycles() const { return period_; }
+  /// Cells stored: the sum over slots of each slot's own period.
+  [[nodiscard]] std::size_t cells() const { return message_.size(); }
   [[nodiscard]] bool empty() const { return message_.empty(); }
 
  private:
   [[nodiscard]] std::size_t index(units::SlotId slot,
                                   units::CycleIndex cycle) const {
-    const std::int64_t row = cycle.value() % period_;
-    return static_cast<std::size_t>(row * num_slots_ + slot.value() - 1);
+    const auto s = static_cast<std::size_t>(slot.value() - 1);
+    return slot_begin_[s] +
+           static_cast<std::size_t>(cycle.value() % slot_period_[s]);
   }
 
-  // SoA over [cycle-in-period × slot], row-major, slot 1 at column 0.
-  // Occupancy is only eventually periodic: a placement's phase starts
-  // at its base cycle (offset warm-up), so each cell carries the first
-  // cycle at which its steady-state occupant is actually active.
+  // SoA over the per-slot rings: slot s owns cells
+  // [slot_begin_[s], slot_begin_[s] + slot_period_[s]), one per cycle
+  // mod its period (s = slot - 1). Occupancy is only eventually
+  // periodic: a placement's phase starts at its base cycle (offset
+  // warm-up), so each cell carries the first cycle at which its
+  // steady-state occupant is actually active.
+  std::vector<std::size_t> slot_begin_;
+  std::vector<std::int64_t> slot_period_;
   std::vector<const net::Message*> message_;
   std::vector<int> message_id_;
   std::vector<std::int32_t> node_;
   std::vector<std::int64_t> payload_bits_;
   std::vector<std::int32_t> budget_;
   std::vector<std::int64_t> first_cycle_;
-  std::int64_t num_slots_ = 0;
   std::int64_t period_ = 1;
   std::int64_t version_ = 0;
 };

@@ -25,10 +25,10 @@ class HosaScheduler : public SchedulerBase {
   std::optional<flexray::TxRequest> static_slot(flexray::ChannelId channel,
                                                 units::CycleIndex cycle,
                                                 units::SlotId slot) override;
-  /// Batched decision path for the compiled walk: one template-row scan
-  /// staging the A/B mirror pair per ready occupant. Stages exactly what
-  /// the default per-slot loop would (see the equivalence note in the
-  /// implementation).
+  /// Batched decision path for the compiled walk: one scan of per-slot
+  /// template lookups staging the A/B mirror pair per ready occupant.
+  /// Stages exactly what the default per-slot loop would (see the
+  /// equivalence note in the implementation).
   void decide_static_chunk(units::CycleIndex cycle, std::int64_t slot_begin,
                            std::int64_t slot_end,
                            StaticChunkSink& sink) override;

@@ -1,6 +1,7 @@
 #include "sched/schedule_table.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -19,6 +20,14 @@ bool phases_conflict(units::CycleIndex b1, std::int64_t r1,
 }
 
 }  // namespace
+
+std::int64_t lcm_saturating(std::int64_t a, std::int64_t b) {
+  const std::int64_t q = a / std::gcd(a, b);
+  if (q > std::numeric_limits<std::int64_t>::max() / b) {
+    return std::numeric_limits<std::int64_t>::max();
+  }
+  return q * b;
+}
 
 StaticScheduleTable StaticScheduleTable::build(
     const net::MessageSet& statics, const flexray::ClusterConfig& cfg,
@@ -124,7 +133,8 @@ StaticScheduleTable StaticScheduleTable::build(
     table.assignments_.push_back(chosen);
     table.slot_occupants_[static_cast<std::size_t>(chosen.slot.value() - 1)]
         .push_back({chosen.base_cycle, chosen.repetition, m->id});
-    table.table_period_ = std::lcm(table.table_period_, chosen.repetition);
+    table.table_period_ =
+        lcm_saturating(table.table_period_, chosen.repetition);
   }
 
   return table;
@@ -146,7 +156,8 @@ StaticScheduleTable StaticScheduleTable::from_assignments(
         a.repetition >= 1) {
       table.slot_occupants_[static_cast<std::size_t>(a.slot.value() - 1)]
           .push_back({a.base_cycle, a.repetition, a.message_id});
-      table.table_period_ = std::lcm(table.table_period_, a.repetition);
+      table.table_period_ =
+          lcm_saturating(table.table_period_, a.repetition);
     }
   }
   return table;
@@ -154,16 +165,36 @@ StaticScheduleTable StaticScheduleTable::from_assignments(
 
 std::optional<int> StaticScheduleTable::message_at(
     units::SlotId slot, units::CycleIndex cycle) const {
-  if (slot.value() < 1 || slot.value() > num_slots_ || cycle.value() < 0) {
-    return std::nullopt;
-  }
-  for (const auto& o :
-       slot_occupants_[static_cast<std::size_t>(slot.value() - 1)]) {
+  if (cycle.value() < 0) return std::nullopt;
+  for (const auto& o : occupants_of(slot)) {
     if (cycle >= o.base && (cycle - o.base) % o.repetition == 0) {
       return o.message_id;
     }
   }
   return std::nullopt;
+}
+
+const std::vector<StaticScheduleTable::Occupant>&
+StaticScheduleTable::occupants_of(units::SlotId slot) const {
+  static const std::vector<Occupant> kIdle;
+  if (slot.value() < 1 || slot.value() > num_slots_) return kIdle;
+  return slot_occupants_[static_cast<std::size_t>(slot.value() - 1)];
+}
+
+std::int64_t StaticScheduleTable::slot_period_cycles(
+    units::SlotId slot) const {
+  std::int64_t period = 1;
+  for (const auto& o : occupants_of(slot)) {
+    period = lcm_saturating(period, o.repetition);
+  }
+  return period;
+}
+
+units::CycleIndex StaticScheduleTable::slot_last_base(
+    units::SlotId slot) const {
+  units::CycleIndex last{0};
+  for (const auto& o : occupants_of(slot)) last = std::max(last, o.base);
+  return last;
 }
 
 const SlotAssignment* StaticScheduleTable::assignment_of(int message_id) const {
@@ -181,19 +212,21 @@ std::int64_t StaticScheduleTable::slots_used() const {
 }
 
 double StaticScheduleTable::occupancy() const {
-  if (num_slots_ == 0 || table_period_ == 0) return 0.0;
-  std::int64_t occupied = 0;
-  // Count occupied (slot, cycle) pairs over one steady-state table
-  // period, starting past every base cycle.
-  units::CycleIndex start{0};
-  for (const auto& a : assignments_) start = std::max(start, a.base_cycle);
+  if (num_slots_ == 0) return 0.0;
+  // Each slot repeats with its own period once its last base cycle has
+  // passed, so its share of one table period is the share of occupied
+  // cycles over one steady-state slot period: sum_s occ_s / P_s.
+  double occupied = 0.0;
   for (units::SlotId slot{1}; slot.value() <= num_slots_; ++slot) {
-    for (units::CycleIndex c = start; c < start + table_period_; ++c) {
-      if (message_at(slot, c).has_value()) ++occupied;
+    const std::int64_t period = slot_period_cycles(slot);
+    const units::CycleIndex start = slot_last_base(slot);
+    std::int64_t hits = 0;
+    for (units::CycleIndex c = start; c < start + period; ++c) {
+      if (message_at(slot, c).has_value()) ++hits;
     }
+    occupied += static_cast<double>(hits) / static_cast<double>(period);
   }
-  return static_cast<double>(occupied) /
-         static_cast<double>(num_slots_ * table_period_);
+  return occupied / static_cast<double>(num_slots_);
 }
 
 }  // namespace coeff::sched

@@ -46,6 +46,10 @@ struct TableBuildOptions {
   bool exclusive_slots = false;
 };
 
+/// std::lcm of two positive cycle counts, saturating at INT64_MAX where
+/// the true value would overflow (16 distinct prime periods suffice).
+[[nodiscard]] std::int64_t lcm_saturating(std::int64_t a, std::int64_t b);
+
 class StaticScheduleTable {
  public:
   /// Build the table. Throws std::invalid_argument if any message period
@@ -89,10 +93,18 @@ class StaticScheduleTable {
   /// Fraction of (slot, cycle) pairs occupied over one table period.
   [[nodiscard]] double occupancy() const;
 
-  /// LCM of all repetitions: the table repeats with this many cycles.
+  /// LCM of all repetitions: the table repeats with this many cycles
+  /// (INT64_MAX when that overflows).
   [[nodiscard]] std::int64_t table_period_cycles() const {
     return table_period_;
   }
+
+  /// LCM of the repetitions of `slot`'s occupants, 1 for an idle slot:
+  /// past slot_last_base(slot) the slot's occupancy repeats with this
+  /// many cycles. Divides table_period_cycles().
+  [[nodiscard]] std::int64_t slot_period_cycles(units::SlotId slot) const;
+  /// Largest base cycle among `slot`'s occupants (0 for an idle slot).
+  [[nodiscard]] units::CycleIndex slot_last_base(units::SlotId slot) const;
 
  private:
   struct Occupant {
@@ -100,6 +112,10 @@ class StaticScheduleTable {
     std::int64_t repetition;
     int message_id;
   };
+
+  /// `slot`'s occupants; empty for an idle or out-of-range slot.
+  [[nodiscard]] const std::vector<Occupant>& occupants_of(
+      units::SlotId slot) const;
 
   std::vector<SlotAssignment> assignments_;
   std::unordered_map<int, std::size_t> by_message_;
