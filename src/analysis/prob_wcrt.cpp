@@ -6,7 +6,7 @@
 #include <map>
 #include <stdexcept>
 
-#include "sched/slack_table.hpp"
+#include "sched/periodic_schedule.hpp"
 #include "sched/task.hpp"
 
 namespace coeff::analysis {
@@ -93,10 +93,10 @@ double indep_fail(fault::AnalyticFailure& af, ProbRetxModel d,
 
 /// Guaranteed stealable wire service per communication cycle: the
 /// static set as a wire-speed fixed-priority processor (the same model
-/// CoEfficient's admission test runs), queried through the slack
-/// table's analytic floor. 0 when the schedule leaves no guaranteed
-/// idle (or the set defeats table construction, e.g. hyperperiod
-/// overflow — pessimistic fallback).
+/// CoEfficient's admission test runs), read off its periodic schedule
+/// as the least idle in any cycle-long window. 0 when the schedule
+/// leaves no guaranteed idle (or the set defeats schedule
+/// construction, e.g. hyperperiod overflow — pessimistic fallback).
 sim::Time guaranteed_service(const ProbWcrtInput& input) {
   std::vector<sched::PeriodicTask> tasks;
   for (const auto& m : input.statics->messages()) {
@@ -110,8 +110,8 @@ sim::Time guaranteed_service(const ProbWcrtInput& input) {
   }
   if (tasks.empty()) return input.cluster->cycle_duration();
   try {
-    const auto table = sched::SlackTable::shared(sched::TaskSet{std::move(tasks)});
-    return table->min_idle_in_window(input.cluster->cycle_duration());
+    return sched::min_idle_in_window(sched::TaskSet{std::move(tasks)},
+                                     input.cluster->cycle_duration());
   } catch (const std::exception&) {
     return sim::Time::zero();
   }

@@ -341,18 +341,18 @@ void check_slack_and_rta(const ScheduleLintInput& input, Report& report) {
 
   // Slack-table recheck: the curves the runtime slack stealer consults
   // must be non-negative and cumulatively non-decreasing.
-  const auto table = sched::SlackTable::shared(set);
-  if (!table->schedulable()) {
+  const sched::SlackTable table(set);
+  if (!table.schedulable()) {
     report.add("schedule.slack-infeasible",
                "offline periodic schedule of the static set misses a "
                "deadline; slack queries are not meaningful");
     return;
   }
-  const sim::Time h = table->hyperperiod();
+  const sim::Time h = table.hyperperiod();
   const int samples = std::max(2, input.slack_samples);
   for (int k = 0; k < samples; ++k) {
     const sim::Time t = sim::Time{2 * h.ns() * k / samples};
-    const sim::Time s = table->slack_at(t);
+    const sim::Time s = table.slack_at(t);
     if (s < sim::Time::zero()) {
       report.add("schedule.slack-nonnegative",
                  strformat("stealable slack at t=%s is %s",
@@ -361,11 +361,11 @@ void check_slack_and_rta(const ScheduleLintInput& input, Report& report) {
       break;  // one witness suffices; the curve is systematically wrong
     }
   }
-  for (std::size_t level = 0; level < table->levels(); ++level) {
+  for (std::size_t level = 0; level < table.levels(); ++level) {
     sim::Time prev = sim::Time::zero();
     for (int k = 0; k < samples; ++k) {
       const sim::Time t = sim::Time{2 * h.ns() * k / samples};
-      const sim::Time cum = table->cumulative_idle(level, t);
+      const sim::Time cum = table.cumulative_idle(level, t);
       if (cum < prev) {
         report.add("schedule.slack-monotone",
                    strformat("level-%zu cumulative idle decreases at t=%s",

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstddef>
+#include <limits>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -61,7 +62,9 @@ struct ProbSetup {
     const analysis::DynWcrtResult& result);
 
 struct CrossCheckOptions {
-  std::size_t max_cells = 16;  ///< analytic runs are per-cell; cap them
+  /// Explicit cap on analysed cells per segment. The default checks
+  /// every eligible cell; the summary reports checked/eligible either way.
+  std::size_t max_cells = std::numeric_limits<std::size_t>::max();
   analysis::ProbWcrtOptions prob;
 };
 
@@ -76,10 +79,11 @@ struct CrossCheckSummary {
   std::size_t dyn_diverged = 0;  ///< analysis.dyn-vs-campaign-divergence
 };
 
-/// Re-derive the analytic envelope for up to `max_cells` eligible rows
-/// (ok status, no structural fault — the analytic model speaks only
-/// about channel loss — and a recorded static-segment population) and
-/// append analysis.prob-vs-campaign-divergence findings to `report`.
+/// Re-derive the analytic envelope for every eligible row, up to
+/// `max_cells` (ok status, no structural fault — the analytic model
+/// speaks only about channel loss — and a recorded static-segment
+/// population) and append analysis.prob-vs-campaign-divergence
+/// findings to `report`.
 [[nodiscard]] CrossCheckSummary cross_check_prob(
     const CampaignManifest& manifest, const std::vector<ResultRow>& rows,
     const CrossCheckOptions& options, analysis::Report& report);

@@ -1,6 +1,5 @@
 #include "net/message.hpp"
 
-#include <numeric>
 #include <set>
 #include <stdexcept>
 
@@ -50,7 +49,7 @@ double MessageSet::demanded_bits_per_second() const {
 sim::Time MessageSet::hyperperiod() const {
   std::int64_t lcm_ns = 1;
   for (const auto& m : msgs_) {
-    lcm_ns = std::lcm(lcm_ns, m.period.ns());
+    lcm_ns = sim::lcm_saturating(lcm_ns, m.period.ns());
     if (lcm_ns > sim::seconds(3600).ns()) {
       throw std::domain_error("MessageSet::hyperperiod exceeds one hour");
     }

@@ -166,4 +166,67 @@ ScheduleResult simulate_periodic(const TaskSet& set, sim::Time horizon,
   return result;
 }
 
+sim::Time min_idle_in_window(const TaskSet& set, sim::Time window) {
+  if (window <= sim::Time::zero()) return sim::Time::zero();
+  if (set.empty()) return window;  // no tasks: all time is idle
+  set.validate();
+  // [0, H) carries the offset-induced transient; [H, 3H) repeats, and
+  // every window start folds into [H, 2H).
+  const sim::Time h = set.hyperperiod();
+  const sim::Time hi = h * 2;
+  const sim::Time end = h * 3;
+  const std::vector<TimelineSegment> timeline =
+      simulate_periodic(set, end).timeline;
+
+  // cum[k]: idle in [0, timeline[k].start); cum.back(): idle in [0, 3H).
+  std::vector<sim::Time> cum(timeline.size() + 1, sim::Time::zero());
+  for (std::size_t k = 0; k < timeline.size(); ++k) {
+    cum[k + 1] = cum[k];
+    if (timeline[k].level == kIdleLevel) {
+      cum[k + 1] += timeline[k].end - timeline[k].start;
+    }
+  }
+  // Cumulative idle at t in [0, 3H].
+  const auto cum_folded = [&](sim::Time t) {
+    if (t <= sim::Time::zero()) return sim::Time::zero();
+    if (t >= end) return cum.back();
+    const auto it = std::upper_bound(
+        timeline.begin(), timeline.end(), t,
+        [](sim::Time v, const TimelineSegment& seg) { return v < seg.start; });
+    const std::size_t k =
+        static_cast<std::size_t>(std::distance(timeline.begin(), it)) - 1;
+    sim::Time c = cum[k];
+    if (timeline[k].level == kIdleLevel) c += t - timeline[k].start;
+    return c;
+  };
+  const sim::Time idle_per_h = cum_folded(hi) - cum_folded(h);
+  // Beyond 2H: the folded point plus one steady-state hyperperiod's
+  // idle per whole wrap.
+  const auto cumulative = [&](sim::Time t) {
+    if (t <= hi) return cum_folded(t);
+    const sim::Time folded = h + ((t - h) % h);
+    return cum_folded(folded) + idle_per_h * ((t - folded) / h);
+  };
+
+  // g(a) = idle in [a, a+window) is piecewise linear in a with slopes
+  // in {-1, 0, 1}; its minima sit where either end of the window meets
+  // a segment boundary. g is H-periodic over the steady state, so
+  // folding the trailing-edge candidates into [H, 2H) loses nothing.
+  sim::Time best = sim::Time::max();
+  const auto consider = [&](sim::Time a) {
+    if (a < h) a += h * ((h - a) / h + 1);
+    a = h + ((a - h) % h);
+    best = std::min(best, cumulative(a + window) - cumulative(a));
+  };
+  for (const TimelineSegment& seg : timeline) {
+    for (const sim::Time b : {seg.start, seg.end}) {
+      if (b < h || b >= end) continue;
+      consider(b);
+      consider(b - window);
+    }
+  }
+  consider(h);
+  return best;
+}
+
 }  // namespace coeff::sched

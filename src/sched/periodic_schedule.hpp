@@ -5,7 +5,8 @@
 // executed at a priority above every task, which is how slack stealing
 // injects transmissions. The result carries per-job finish times and
 // the execution timeline, from which SlackTable derives the level-i
-// idle curves of §III-B/§III-F and tests obtain an exact oracle.
+// idle curves of §III-B/§III-F, min_idle_in_window reads the analytic
+// verifier's guaranteed service, and tests obtain an exact oracle.
 #pragma once
 
 #include <cstdint>
@@ -63,5 +64,15 @@ struct ScheduleResult {
 [[nodiscard]] ScheduleResult simulate_periodic(
     const TaskSet& set, sim::Time horizon,
     const std::vector<InsertedBlock>& inserted = {});
+
+/// Guaranteed full-schedule idle (no task runs) inside ANY window of
+/// length `window`: min over start instants a of idle in [a, a+window)
+/// of the periodic schedule, extended periodically past its first
+/// hyperperiods. The lower bound on the service a backlogged
+/// top-priority stealer receives per `window` of waiting. `window` when
+/// the set is empty, 0 when `window` is not positive. Throws what
+/// validate() and hyperperiod() throw.
+[[nodiscard]] sim::Time min_idle_in_window(const TaskSet& set,
+                                           sim::Time window);
 
 }  // namespace coeff::sched

@@ -1,7 +1,6 @@
 #include "sched/schedule_table.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -20,14 +19,6 @@ bool phases_conflict(units::CycleIndex b1, std::int64_t r1,
 }
 
 }  // namespace
-
-std::int64_t lcm_saturating(std::int64_t a, std::int64_t b) {
-  const std::int64_t q = a / std::gcd(a, b);
-  if (q > std::numeric_limits<std::int64_t>::max() / b) {
-    return std::numeric_limits<std::int64_t>::max();
-  }
-  return q * b;
-}
 
 StaticScheduleTable StaticScheduleTable::build(
     const net::MessageSet& statics, const flexray::ClusterConfig& cfg,
@@ -134,7 +125,7 @@ StaticScheduleTable StaticScheduleTable::build(
     table.slot_occupants_[static_cast<std::size_t>(chosen.slot.value() - 1)]
         .push_back({chosen.base_cycle, chosen.repetition, m->id});
     table.table_period_ =
-        lcm_saturating(table.table_period_, chosen.repetition);
+        sim::lcm_saturating(table.table_period_, chosen.repetition);
   }
 
   return table;
@@ -157,7 +148,7 @@ StaticScheduleTable StaticScheduleTable::from_assignments(
       table.slot_occupants_[static_cast<std::size_t>(a.slot.value() - 1)]
           .push_back({a.base_cycle, a.repetition, a.message_id});
       table.table_period_ =
-          lcm_saturating(table.table_period_, a.repetition);
+          sim::lcm_saturating(table.table_period_, a.repetition);
     }
   }
   return table;
@@ -185,7 +176,7 @@ std::int64_t StaticScheduleTable::slot_period_cycles(
     units::SlotId slot) const {
   std::int64_t period = 1;
   for (const auto& o : occupants_of(slot)) {
-    period = lcm_saturating(period, o.repetition);
+    period = sim::lcm_saturating(period, o.repetition);
   }
   return period;
 }

@@ -46,10 +46,6 @@ struct TableBuildOptions {
   bool exclusive_slots = false;
 };
 
-/// std::lcm of two positive cycle counts, saturating at INT64_MAX where
-/// the true value would overflow (16 distinct prime periods suffice).
-[[nodiscard]] std::int64_t lcm_saturating(std::int64_t a, std::int64_t b);
-
 class StaticScheduleTable {
  public:
   /// Build the table. Throws std::invalid_argument if any message period

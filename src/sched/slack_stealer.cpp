@@ -6,8 +6,8 @@
 namespace coeff::sched {
 
 SlackStealer::SlackStealer(const TaskSet& set)
-    : table_(SlackTable::shared(set)), debt_(set.size(), sim::Time::zero()) {
-  if (!table_->schedulable()) {
+    : table_(set), debt_(set.size(), sim::Time::zero()) {
+  if (!table_.schedulable()) {
     throw std::invalid_argument(
         "SlackStealer: the periodic set alone misses deadlines; there is no "
         "slack to steal");
@@ -24,7 +24,7 @@ void SlackStealer::advance_to(sim::Time t) {
   }
   for (std::size_t level = 0; level < debt_.size(); ++level) {
     if (debt_[level] == sim::Time::zero()) continue;
-    const sim::Time absorbed = table_->idle_between(level, now_, t);
+    const sim::Time absorbed = table_.idle_between(level, now_, t);
     debt_[level] = std::max(debt_[level] - absorbed, sim::Time::zero());
     if (debt_[level] == sim::Time::zero()) --levels_in_debt_;
   }
@@ -36,11 +36,11 @@ sim::Time SlackStealer::available(sim::Time t, std::size_t level) {
   if (levels_in_debt_ == 0) {
     // No outstanding displaced work: the answer is the static table's
     // min-folded suffix query (O(log) when level == 0).
-    return table_->slack_at(t, level);
+    return table_.slack_at(t, level);
   }
   sim::Time avail = sim::Time::max();
   for (std::size_t i = level; i < debt_.size(); ++i) {
-    const sim::Time s = table_->level_slack(i, t);
+    const sim::Time s = table_.level_slack(i, t);
     if (s == sim::Time::max()) continue;
     avail = std::min(avail, std::max(s - debt_[i], sim::Time::zero()));
   }

@@ -17,7 +17,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "sched/slack_table.hpp"
@@ -52,7 +51,7 @@ class SlackStealer {
   void on_hard_executed(sim::Time x);
 
   [[nodiscard]] sim::Time hard_backlog() const { return hard_backlog_; }
-  [[nodiscard]] const SlackTable& table() const { return *table_; }
+  [[nodiscard]] const SlackTable& table() const { return table_; }
   [[nodiscard]] sim::Time debt(std::size_t level) const {
     return debt_.at(level);
   }
@@ -61,9 +60,7 @@ class SlackStealer {
  private:
   void advance_to(sim::Time t);
 
-  // Memoized and immutable; stealers built from the same task set (the
-  // usual case across a sweep's BER points) share one table.
-  std::shared_ptr<const SlackTable> table_;
+  SlackTable table_;
   std::vector<sim::Time> debt_;
   // Count of levels with nonzero debt. While zero (the common steady
   // state), `available` is a single O(log) table query instead of a

@@ -1,9 +1,6 @@
 #include "sched/slack_table.hpp"
 
 #include <algorithm>
-#include <array>
-#include <map>
-#include <mutex>
 #include <stdexcept>
 
 namespace coeff::sched {
@@ -204,91 +201,6 @@ sim::Time SlackTable::slack_at(sim::Time t, std::size_t from_level) const {
     s = std::min(s, level_slack(level, t));
   }
   return s;
-}
-
-sim::Time SlackTable::min_slack() const {
-  if (merged_times_.empty()) return sim::Time::max();
-  const sim::Time lo = hyperperiod_;
-  const sim::Time hi = hyperperiod_ * 2;
-  sim::Time best = sim::Time::max();
-  for (std::size_t j = 0; j < merged_times_.size(); ++j) {
-    const sim::Time t0 = merged_times_[j];
-    const sim::Time t1 =
-        j + 1 < merged_times_.size() ? merged_times_[j + 1] : hi;
-    if (t1 <= lo || t0 >= hi) continue;
-    // Within the interval the curve is min(c0, c1 - (t - t0)): the
-    // constant branch and the slope -1 branch, minimal at the interval
-    // end. Clamping at zero commutes with the min (see slack_at).
-    sim::Time v = merged_c0_[j];
-    if (merged_c1_[j] != sim::Time::max()) {
-      v = std::min(v, merged_c1_[j] - (std::min(t1, hi) - t0));
-    }
-    if (v == sim::Time::max()) continue;
-    best = std::min(best, std::max(v, sim::Time::zero()));
-  }
-  return best;
-}
-
-sim::Time SlackTable::min_idle_in_window(sim::Time window) const {
-  if (window <= sim::Time::zero()) return sim::Time::zero();
-  // Full-schedule idle = idle of the lowest-priority level's curve
-  // (segments where nothing at all runs).
-  if (idle_curves_.empty()) return window;  // no tasks: all time is idle
-  const std::size_t level = idle_curves_.size() - 1;
-  const LevelCurve& curve = idle_curves_[level];
-  if (curve.seg_start.empty()) return window;
-  const sim::Time lo = hyperperiod_;
-  const sim::Time hi = hyperperiod_ * 2;
-  // g(a) = idle in [a, a+window) is piecewise linear in a with slopes
-  // in {-1, 0, 1}; its minima sit where either end of the window meets a
-  // segment boundary. g is H-periodic over the steady state, so folding
-  // the trailing-edge candidates into [H, 2H) loses nothing.
-  std::vector<sim::Time> candidates;
-  auto push = [&](sim::Time a) {
-    if (a < lo) a += hyperperiod_ * ((lo - a) / hyperperiod_ + 1);
-    a = lo + ((a - lo) % hyperperiod_);
-    candidates.push_back(a);
-  };
-  for (std::size_t k = 0; k < curve.seg_start.size(); ++k) {
-    for (const sim::Time b : {curve.seg_start[k], curve.seg_end[k]}) {
-      if (b < lo || b >= window_) continue;
-      push(b);
-      push(b - window);
-    }
-  }
-  push(lo);
-  sim::Time best = sim::Time::max();
-  for (const sim::Time a : candidates) {
-    if (a < lo || a >= hi) continue;
-    best = std::min(best, idle_between(level, a, a + window));
-  }
-  return best == sim::Time::max() ? sim::Time::zero() : best;
-}
-
-std::shared_ptr<const SlackTable> SlackTable::shared(const TaskSet& set) {
-  // Exact-parameter key (no hashing, so no collision risk): one packed
-  // row per task in priority order.
-  using Fingerprint = std::vector<std::array<std::int64_t, 5>>;
-  static std::mutex mutex;
-  static std::map<Fingerprint, std::shared_ptr<const SlackTable>> cache;
-
-  Fingerprint fp;
-  fp.reserve(set.size());
-  for (const PeriodicTask& t : set.tasks()) {
-    fp.push_back({t.id, t.wcet.ns(), t.period.ns(), t.offset.ns(),
-                  t.deadline.ns()});
-  }
-  {
-    const std::lock_guard<std::mutex> lock(mutex);
-    const auto it = cache.find(fp);
-    if (it != cache.end()) return it->second;
-  }
-  // Build outside the lock so concurrent sweep workers constructing
-  // different suites don't serialize; a duplicate concurrent build of
-  // the same suite is benign (the first insert wins).
-  auto table = std::make_shared<const SlackTable>(set);
-  const std::lock_guard<std::mutex> lock(mutex);
-  return cache.emplace(std::move(fp), std::move(table)).first->second;
 }
 
 }  // namespace coeff::sched

@@ -16,7 +16,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "sched/periodic_schedule.hpp"
@@ -31,14 +30,6 @@ class SlackTable {
   /// validated; `schedulable()` reports whether the periodic schedule
   /// itself met every deadline (slack queries are meaningless if not).
   explicit SlackTable(const TaskSet& set);
-
-  /// Memoized construction: task sets with identical parameters share
-  /// one immutable table, so sweep cells that reuse a static suite
-  /// (every BER point of a figure) pay the 3x-hyperperiod schedule
-  /// simulation once per process. Thread-safe; the returned table is
-  /// immutable and safe to share across sweep workers.
-  [[nodiscard]] static std::shared_ptr<const SlackTable> shared(
-      const TaskSet& set);
 
   [[nodiscard]] bool schedulable() const { return schedulable_; }
   [[nodiscard]] sim::Time hyperperiod() const { return hyperperiod_; }
@@ -64,20 +55,6 @@ class SlackTable {
   /// Level-i idle in [a, b), periodic extension included.
   [[nodiscard]] sim::Time idle_between(std::size_t level, sim::Time a,
                                        sim::Time b) const;
-
-  // --- Analytic queries (design-time consumers: analysis::ProbWcrt) ----
-
-  /// Floor of the merged stealable-slack curve min_i S_i(t) over the
-  /// steady-state window [H, 2H): the slack guaranteed to be grantable
-  /// at *any* runtime instant. Time::max() when no level is constrained
-  /// by a future deadline.
-  [[nodiscard]] sim::Time min_slack() const;
-
-  /// Guaranteed full-schedule idle (no level runs) inside ANY window of
-  /// length `window`: min over start instants a of idle in [a, a+window)
-  /// under periodic extension. The lower bound on the service a
-  /// backlogged top-priority stealer receives per `window` of waiting.
-  [[nodiscard]] sim::Time min_idle_in_window(sim::Time window) const;
 
  private:
   struct LevelCurve {

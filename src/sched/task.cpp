@@ -1,7 +1,6 @@
 #include "sched/task.hpp"
 
 #include <algorithm>
-#include <numeric>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -36,7 +35,7 @@ double TaskSet::utilization() const {
 sim::Time TaskSet::hyperperiod() const {
   std::int64_t lcm_ns = 1;
   for (const auto& t : tasks_) {
-    lcm_ns = std::lcm(lcm_ns, t.period.ns());
+    lcm_ns = sim::lcm_saturating(lcm_ns, t.period.ns());
     if (lcm_ns > sim::seconds(3600).ns()) {
       throw std::domain_error("TaskSet::hyperperiod exceeds one hour");
     }

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <numeric>
 
 namespace coeff::sim {
 
@@ -18,6 +19,15 @@ std::string to_string(Time t) {
     std::snprintf(buf, sizeof buf, "%lldns", static_cast<long long>(t.ns()));
   }
   return buf;
+}
+
+std::int64_t lcm_saturating(std::int64_t a, std::int64_t b) {
+  if (a <= 0 || b <= 0) return 0;
+  const std::int64_t q = a / std::gcd(a, b);
+  if (q > std::numeric_limits<std::int64_t>::max() / b) {
+    return std::numeric_limits<std::int64_t>::max();
+  }
+  return q * b;
 }
 
 }  // namespace coeff::sim

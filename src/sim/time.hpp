@@ -79,4 +79,10 @@ class Time {
 /// Human-readable rendering with an adaptive unit, e.g. "4.7ms".
 [[nodiscard]] std::string to_string(Time t);
 
+/// std::lcm of two positive counts (cycles or nanoseconds), saturating
+/// at INT64_MAX where the true value would overflow (16 distinct prime
+/// periods suffice). 0 when either is not positive: no such set has a
+/// hyperperiod, and validation reports it.
+[[nodiscard]] std::int64_t lcm_saturating(std::int64_t a, std::int64_t b);
+
 }  // namespace coeff::sim

@@ -109,6 +109,26 @@ TEST(MessageSetTest, HyperperiodOverflowThrows) {
   EXPECT_THROW((void)MessageSet({a, b, c}).hyperperiod(), std::domain_error);
 }
 
+// 17 prime periods in microseconds, in set order. The first nine keep
+// the running lcm at 2.2e11 ns, well under the one-hour cap; the
+// 41,356,607 us prime then multiplies it past INT64_MAX in a single
+// step. The fold must saturate into the domain_error; an unchecked one
+// wraps and ends on a negative hyperperiod without ever tripping the
+// cap.
+TEST(MessageSetTest, SeventeenPrimePeriodsExceedTheHourWithoutOverflow) {
+  constexpr std::int64_t kPrimesUs[] = {2,  3,  5,  7,  11, 13,
+                                        17, 19, 23, 41'356'607,
+                                        29, 31, 37, 41, 43, 47, 53};
+  MessageSet set;
+  for (const std::int64_t p : kPrimesUs) {
+    Message m = make(static_cast<int>(set.size()) + 1, 1, 1, 1);
+    m.period = sim::micros(p);
+    m.deadline = m.period;
+    set.add(m);
+  }
+  EXPECT_THROW((void)set.hyperperiod(), std::domain_error);
+}
+
 TEST(MessageSetTest, FindById) {
   MessageSet set({make(5, 10, 5, 1)});
   ASSERT_NE(set.find(5), nullptr);

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "sim/random.hpp"
+
 namespace coeff::sched {
 namespace {
 
@@ -143,6 +147,63 @@ TEST(PeriodicScheduleTest, BusyHorizonFullyPacked) {
   EXPECT_EQ(result.level_idle(1, sim::Time::zero(), sim::millis(40)),
             sim::Time::zero());
   EXPECT_FALSE(result.any_deadline_missed);
+}
+
+TEST(PeriodicScheduleTest, MinIdleInWindowSingleTask) {
+  // 2 ms of work every 10 ms.
+  TaskSet set({task(1, 2, 10)});
+  EXPECT_EQ(min_idle_in_window(set, sim::millis(10)), sim::millis(8));
+  EXPECT_EQ(min_idle_in_window(set, sim::millis(5)), sim::millis(3));
+  EXPECT_EQ(min_idle_in_window(set, sim::millis(1)), sim::Time::zero());
+  // Longer than the hyperperiod: [0, 25) holds three 2 ms jobs.
+  EXPECT_EQ(min_idle_in_window(set, sim::millis(25)), sim::millis(19));
+  EXPECT_EQ(min_idle_in_window(set, sim::Time::zero()), sim::Time::zero());
+}
+
+TEST(PeriodicScheduleTest, MinIdleInWindowEdgeCases) {
+  EXPECT_EQ(min_idle_in_window(TaskSet{}, sim::millis(7)), sim::millis(7));
+  EXPECT_EQ(min_idle_in_window(TaskSet({task(1, 1, 2), task(2, 2, 4)}),
+                               sim::millis(4)),
+            sim::Time::zero());
+  EXPECT_THROW(
+      (void)min_idle_in_window(TaskSet({task(1, 3, 2)}), sim::millis(4)),
+      std::invalid_argument);
+}
+
+// Oracle: every integer start in the steady-state hyperperiod [H, 2H),
+// measured directly on a three-hyperperiod schedule. All parameters are
+// whole milliseconds, so every breakpoint of the window idle is too.
+TEST(PeriodicScheduleTest, MinIdleInWindowMatchesBruteForce) {
+  sim::Rng rng(7);
+  int checked = 0;
+  for (int trial = 0; trial < 40; ++trial) {
+    std::vector<PeriodicTask> tasks;
+    const int n = static_cast<int>(rng.uniform_int(1, 5));
+    for (int i = 0; i < n; ++i) {
+      const int period = static_cast<int>(rng.uniform_int(1, 5)) * 10;
+      tasks.push_back(task(i, static_cast<int>(rng.uniform_int(1, 3)),
+                           period, 0,
+                           static_cast<int>(rng.uniform_int(0, 5))));
+    }
+    const TaskSet set(tasks);
+    if (set.utilization() >= 1.0) continue;
+    const sim::Time h = set.hyperperiod();
+    const auto schedule = simulate_periodic(set, h * 3);
+    if (schedule.any_deadline_missed) continue;
+    for (const std::int64_t w_ms : {1, 5, 10, 25}) {
+      const sim::Time w = sim::millis(w_ms);
+      if (w > h) continue;
+      sim::Time expected = sim::Time::max();
+      for (sim::Time a = h; a < h * 2; a += sim::millis(1)) {
+        expected = std::min(expected,
+                            schedule.level_idle(set.size() - 1, a, a + w));
+      }
+      EXPECT_EQ(min_idle_in_window(set, w), expected)
+          << "trial=" << trial << " window=" << w_ms << "ms";
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 40);
 }
 
 }  // namespace

@@ -200,18 +200,6 @@ TEST(SlackTableTest, LevelSlackPeriodicInSteadyState) {
   }
 }
 
-TEST(SlackTableTest, SharedCacheReturnsSameTableForIdenticalSets) {
-  const TaskSet a({task(1, 2, 10), task(2, 3, 20)});
-  const TaskSet b({task(2, 3, 20), task(1, 2, 10)});  // same set, any order
-  const TaskSet c({task(1, 2, 10), task(2, 4, 20)});  // different wcet
-  const auto ta = SlackTable::shared(a);
-  const auto tb = SlackTable::shared(b);
-  const auto tc = SlackTable::shared(c);
-  EXPECT_EQ(ta.get(), tb.get());
-  EXPECT_NE(ta.get(), tc.get());
-  EXPECT_EQ(ta->hyperperiod(), sim::millis(20));
-}
-
 TEST(SlackTableTest, NegativeTimeThrows) {
   SlackTable table(TaskSet({task(1, 2, 10)}));
   EXPECT_THROW((void)table.level_slack(0, sim::millis(-1)),

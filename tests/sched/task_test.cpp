@@ -47,6 +47,30 @@ TEST(TaskSetTest, Hyperperiod) {
   EXPECT_EQ(set.hyperperiod(), sim::millis(24));
 }
 
+// 17 prime periods in microseconds. The first nine keep the running
+// lcm at 2.2e11 ns, well under the one-hour cap; the 41,356,607 us
+// prime (sorted tenth by its deadline) then multiplies it past
+// INT64_MAX in a single step. The fold must saturate into the
+// domain_error; an unchecked one wraps and ends on a negative
+// hyperperiod without ever tripping the cap.
+TEST(TaskSetTest, SeventeenPrimePeriodsExceedTheHourWithoutOverflow) {
+  constexpr std::int64_t kPrimesUs[] = {2,  3,  5,  7,  11, 13,
+                                        17, 19, 23, 41'356'607,
+                                        29, 31, 37, 41, 43, 47, 53};
+  std::vector<PeriodicTask> tasks;
+  for (const std::int64_t p : kPrimesUs) {
+    PeriodicTask t;
+    t.id = static_cast<int>(tasks.size()) + 1;
+    t.wcet = sim::micros(1);
+    t.period = sim::micros(p);
+    t.deadline = sim::micros(p < 100 ? p : 24);
+    tasks.push_back(t);
+  }
+  const TaskSet set(std::move(tasks));
+  ASSERT_EQ(set.at_level(9).period, sim::micros(41'356'607));
+  EXPECT_THROW((void)set.hyperperiod(), std::domain_error);
+}
+
 TEST(TaskSetTest, ValidationCatchesBadTasks) {
   {
     TaskSet set({task(1, 10, 5), task(1, 10, 8)});
