@@ -2,12 +2,13 @@
 
 #include <chrono>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "core/hosa.hpp"
 #include "fault/fault_model.hpp"
 #include "fault/reliability.hpp"
 #include "flexray/cluster.hpp"
-#include "sim/engine.hpp"
 #include "sim/random.hpp"
 
 namespace coeff::core {
@@ -108,7 +109,6 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
   if (config.drain_batch) sched->set_drop_expired_dynamics(false);
   sched->set_trace(config.trace);
 
-  sim::Engine engine;
   fault::FaultModelConfig fm = config.fault_model;
   fm.ber = config.ber;  // one knob for the planner and the iid/common wire
   const auto fault_model = fault::make_fault_model(fm, config.seed);
@@ -118,7 +118,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
   if (config.ber_step2 >= 0.0 && config.ber_step2_at > sim::Time::zero()) {
     fault_model->schedule_ber_step(config.ber_step2_at, config.ber_step2);
   }
-  flexray::Cluster cluster(engine, config.cluster, *sched,
+  flexray::Cluster cluster(config.cluster, *sched,
                            fault_model->as_corruption_fn(), config.trace);
   cluster.set_engine_mode(config.engine);
   // Batched verdicts draw from the same model in wire order, so the
@@ -134,18 +134,17 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
     cluster.set_fault_provider(structural.get());
   }
 
-  // Pre-compute dynamic arrivals over the batch window and inject them
-  // as engine events so they surface mid-cycle like real interrupts.
+  // Pre-compute dynamic arrivals over the batch window; the cluster
+  // delivers them mid-cycle, at the slot boundary where each falls due.
   sim::Rng arrival_rng(config.seed ^ 0x9E3779B97F4A7C15ULL);
-  SchedulerBase* sched_ptr = sched.get();
+  std::vector<flexray::Arrival> arrivals;
   for (const auto& m : config.dynamics.messages()) {
     for (const sim::Time at :
          net::arrivals(m, config.batch_window, config.arrivals, arrival_rng)) {
-      engine.schedule_at(at, [sched_ptr, id = m.id, at] {
-        sched_ptr->add_dynamic_arrival(id, at);
-      });
+      arrivals.push_back({at, m.id});
     }
   }
+  cluster.set_arrivals(std::move(arrivals));
 
   // Run the batch window, then drain whatever the scheme still owes.
   const auto walk_begin = std::chrono::steady_clock::now();
@@ -160,7 +159,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
                                     walk_begin)
           .count();
   result.drained = !sched->work_remaining();
-  sched->finalize(engine.now());
+  sched->finalize(cluster.now());
 
   RunStats& stats = sched->stats();
   stats.running_time = sched->last_activity();

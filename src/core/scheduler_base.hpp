@@ -39,9 +39,9 @@ class SchedulerBase : public flexray::TransmissionPolicy {
   /// misses are recorded either way. Default: true (drop expired).
   void set_drop_expired_dynamics(bool drop) { drop_expired_dynamics_ = drop; }
 
-  /// Inject one dynamic arrival (typically from a simulation-engine
-  /// event): creates the instance and enqueues it in the producing
-  /// node's CHI dynamic queue.
+  /// Inject one dynamic arrival (typically delivered by the Cluster
+  /// through on_dynamic_arrival): creates the instance and enqueues it
+  /// in the producing node's CHI dynamic queue.
   void add_dynamic_arrival(int message_id, sim::Time at);
 
   /// True while the scheme still owes wire transmissions for the batch.
@@ -80,6 +80,9 @@ class SchedulerBase : public flexray::TransmissionPolicy {
   /// and never state written by same-cycle on_tx_complete calls, which
   /// do pure outcome accounting read at cycle boundaries.
   [[nodiscard]] bool compiled_capable() const override { return true; }
+  void on_dynamic_arrival(int message_id, sim::Time at) override {
+    add_dynamic_arrival(message_id, at);
+  }
   void on_cycle_start(units::CycleIndex cycle, sim::Time at) override;
   void on_cycle_end(units::CycleIndex cycle, sim::Time at) override;
   void on_dynamic_declined(flexray::ChannelId channel, units::CycleIndex cycle,

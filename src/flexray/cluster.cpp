@@ -1,19 +1,38 @@
 #include "flexray/cluster.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace coeff::flexray {
 
-Cluster::Cluster(sim::Engine& engine, const ClusterConfig& cfg,
-                 TransmissionPolicy& policy, CorruptionFn corruption,
-                 sim::Trace* trace)
-    : engine_(engine),
-      timing_(cfg),
+Cluster::Cluster(const ClusterConfig& cfg, TransmissionPolicy& policy,
+                 CorruptionFn corruption, sim::Trace* trace)
+    : timing_(cfg),
       policy_(policy),
       channels_{Channel{ChannelId::kA, corruption},
                 Channel{ChannelId::kB, corruption}},
       trace_(trace) {}
+
+void Cluster::set_arrivals(std::vector<Arrival> arrivals) {
+  if (next_cycle_.value() > 0) {
+    throw std::logic_error("Cluster::set_arrivals: a cycle has already run");
+  }
+  std::stable_sort(
+      arrivals.begin(), arrivals.end(),
+      [](const Arrival& a, const Arrival& b) { return a.at < b.at; });
+  arrivals_ = std::move(arrivals);
+  next_arrival_ = 0;
+}
+
+void Cluster::deliver_arrivals(sim::Time t) {
+  while (next_arrival_ < arrivals_.size() &&
+         arrivals_[next_arrival_].at <= t) {
+    const Arrival& a = arrivals_[next_arrival_++];
+    policy_.on_dynamic_arrival(a.message_id, a.at);
+  }
+}
 
 void Cluster::run_cycles(std::int64_t n) {
   for (std::int64_t i = 0; i < n; ++i) {
@@ -44,7 +63,7 @@ bool Cluster::compiled_cycle_allowed(sim::Time start, sim::Time end) const {
 
 void Cluster::execute_cycle(units::CycleIndex cycle) {
   const sim::Time start = timing_.cycle_start(cycle);
-  engine_.run_until(start);  // deliver arrivals due before this cycle
+  deliver_arrivals(start);  // arrivals due before this cycle
   if (trace_) trace_->emit(start, sim::TraceKind::kCycleStart, cycle.value());
   policy_.on_cycle_start(cycle, start);
   apply_topology_events(cycle, start);
@@ -62,7 +81,7 @@ void Cluster::execute_cycle(units::CycleIndex cycle) {
     execute_dynamic_segment(cycle, ChannelId::kB);
   }
 
-  engine_.run_until(end);
+  deliver_arrivals(end);
   policy_.on_cycle_end(cycle, end);
 }
 
@@ -113,7 +132,7 @@ void Cluster::execute_static_segment(units::CycleIndex cycle) {
   for (units::SlotId slot{1};
        slot.value() <= cfg.g_number_of_static_slots; ++slot) {
     const sim::Time slot_start = timing_.static_slot_start(cycle, slot);
-    engine_.run_until(slot_start);
+    deliver_arrivals(slot_start);
     for (auto& channel : channels_) {
       auto req = policy_.static_slot(channel.id(), cycle, slot);
       if (!req) continue;
@@ -169,7 +188,7 @@ void Cluster::execute_dynamic_segment(units::CycleIndex cycle, ChannelId cid) {
 
   while (minislot.value() < cfg.g_number_of_minislots) {
     const sim::Time at = timing_.minislot_start(cycle, minislot);
-    engine_.run_until(at);
+    deliver_arrivals(at);
     const std::int64_t remaining =
         cfg.g_number_of_minislots - minislot.value();
     auto req =
@@ -233,11 +252,11 @@ void Cluster::execute_dynamic_segment(units::CycleIndex cycle, ChannelId cid) {
 // on_tx_complete calls, so a run of static-slot decisions can be taken
 // before any of their outcomes commit as long as (a) decisions keep the
 // interpreted call order (slot-major, channel A before B), (b) commits
-// keep that same order, and (c) no engine event fires inside the run —
-// events (dynamic arrivals) do mutate decision state, so a pending
-// event bounds the chunk and fires at exactly the sequence point the
-// interpreted walk would fire it (between the previous slot's commit
-// and the next slot's decision). Verdicts are drawn per chunk in wire
+// keep that same order, and (c) no arrival is delivered inside the run —
+// arrivals do mutate decision state, so a pending arrival bounds the
+// chunk and is delivered at exactly the sequence point the interpreted
+// walk would deliver it (between the previous slot's commit and the
+// next slot's decision). Verdicts are drawn per chunk in wire
 // order through the batch hook, which walks the same model the
 // CorruptionFn wraps — an identical verdict stream.
 
@@ -263,24 +282,22 @@ void Cluster::execute_static_segment_compiled(units::CycleIndex cycle) {
   // a per-slot timing call (same value: static_slot_start(c, s) =
   // anchor + duration * (s - 1)).
   const sim::Time seg_base = timing_.static_slot_start(cycle, units::SlotId{1});
-  // The queue head only moves inside run_until (events are scheduled by
-  // event callbacks, never by decide/commit code), so it is re-read only
-  // after running the engine instead of once per slot.
-  sim::Time next_event = engine_.next_event_time();
+  // The arrival cursor only moves inside deliver_arrivals, so the next
+  // arrival time is re-read only after a delivery, not once per slot.
+  sim::Time next_arrival = next_arrival_time();
   while (slot <= nslots) {
-    // Chunk = maximal run of slots strictly before the next engine
-    // event; an event due at or before this slot's start fires first,
-    // exactly as the interpreted walk's per-slot run_until would.
+    // Chunk = maximal run of slots strictly before the next arrival; an
+    // arrival due at or before this slot's start is delivered first,
+    // exactly as the interpreted walk's per-slot delivery would.
     const sim::Time slot_start = seg_base + slot_duration * (slot - 1);
-    if (next_event <= slot_start) {
-      engine_.run_until(slot_start);
-      next_event = engine_.next_event_time();
-      continue;  // re-read: callbacks may schedule more events
+    if (next_arrival <= slot_start) {
+      deliver_arrivals(slot_start);
+      next_arrival = next_arrival_time();
     }
-    // Largest s with seg_base + duration * (s - 1) < next_event; the
-    // subtraction cannot underflow because slot_start < next_event.
+    // Largest s with seg_base + duration * (s - 1) < next_arrival; the
+    // subtraction cannot underflow because slot_start < next_arrival.
     std::int64_t chunk_end =
-        1 + ((next_event - seg_base).ns() - 1) / slot_duration.ns();
+        1 + ((next_arrival - seg_base).ns() - 1) / slot_duration.ns();
     if (chunk_end > nslots) chunk_end = nslots;
 
     // Decide phase: interpreted call order, no commits yet. The policy
@@ -397,14 +414,14 @@ void Cluster::execute_dynamic_segment_compiled(units::CycleIndex cycle,
   units::MinislotId minislot{0};
   units::SlotId slot_counter{cfg.g_number_of_static_slots + 1};
 
-  // Same caching as the static walk: the queue head only moves inside
-  // run_until, so one re-read per engine run replaces one per minislot.
-  sim::Time next_event = engine_.next_event_time();
+  // Same caching as the static walk: one re-read per delivery replaces
+  // one per minislot.
+  sim::Time next_arrival = next_arrival_time();
   while (minislot.value() < nminislots) {
     const sim::Time at = timing_.minislot_start(cycle, minislot);
-    if (next_event <= at) {
-      engine_.run_until(at);
-      next_event = engine_.next_event_time();
+    if (next_arrival <= at) {
+      deliver_arrivals(at);
+      next_arrival = next_arrival_time();
     }
     const std::int64_t remaining = nminislots - minislot.value();
     auto req =
@@ -450,7 +467,7 @@ void Cluster::execute_dynamic_segment_compiled(units::CycleIndex cycle,
       // Idle (or declined) minislot. When the policy can prove the next
       // possible transmission sits at a higher slot counter, skip the
       // idle minislots in one jump — each skipped decision would have
-      // been a side-effect-free nullopt. Events bound the jump: a
+      // been a side-effect-free nullopt. Arrivals bound the jump: a
       // pending arrival may enqueue a frame for any counter, so no
       // minislot at or past its timestamp is skipped.
       std::int64_t extra = 0;
@@ -461,12 +478,12 @@ void Cluster::execute_dynamic_segment_compiled(units::CycleIndex cycle,
             next_frame == kNoDynamicFrame
                 ? nminislots - 1 - minislot.value()
                 : next_frame - slot_counter.value() - 1;
-        if (next_event < sim::Time::max()) {
-          // Largest i with minislot_start(minislot + i) < next_event.
-          const std::int64_t gap_ns = (next_event - at).ns() - 1;
-          const std::int64_t by_event =
+        if (next_arrival < sim::Time::max()) {
+          // Largest i with minislot_start(minislot + i) < next_arrival.
+          const std::int64_t gap_ns = (next_arrival - at).ns() - 1;
+          const std::int64_t by_arrival =
               gap_ns < 0 ? 0 : gap_ns / minislot_duration.ns();
-          if (by_event < by_frame) by_frame = by_event;
+          if (by_arrival < by_frame) by_frame = by_arrival;
         }
         if (by_frame > 0) extra = by_frame;
       }

@@ -3,20 +3,21 @@
 // The Cluster owns the two channels and the cycle walk; scheduling
 // decisions are delegated to the installed TransmissionPolicy and fault
 // verdicts to the CorruptionFn. Slot-level timing is computed
-// arithmetically (CycleTiming); the simulation engine is advanced to
-// each slot boundary so that policy- or workload-scheduled events (e.g.
-// aperiodic arrivals) are delivered in order.
+// arithmetically (CycleTiming). The only input from outside the static
+// schedule is the time-ordered list of dynamic-message arrivals
+// (set_arrivals); the walk delivers every arrival due at or before a
+// slot/minislot boundary to the policy before that boundary's decision.
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <vector>
 
 #include "flexray/bus.hpp"
 #include "flexray/fault_domain.hpp"
 #include "flexray/policy.hpp"
 #include "flexray/timing.hpp"
 #include "sim/arena.hpp"
-#include "sim/engine.hpp"
 #include "sim/trace.hpp"
 
 namespace coeff::flexray {
@@ -26,13 +27,13 @@ namespace coeff::flexray {
 /// compiled engine is the default and the interpreted one is kept as
 /// the reference for differential testing.
 enum class EngineMode : std::uint8_t {
-  /// Slot-by-slot reference walk: one engine run_until and one policy
-  /// callback round-trip per slot/minislot.
+  /// Slot-by-slot reference walk: one arrival-delivery check and one
+  /// policy callback round-trip per slot/minislot.
   kInterpreted,
-  /// Phased walk: static-slot decisions are batched into event-free
+  /// Phased walk: static-slot decisions are batched into arrival-free
   /// chunks, fault verdicts drawn per chunk (BatchCorruptionFn), idle
-  /// dynamic minislots skipped in one jump, and engine run_until calls
-  /// elided while no event is pending. Requires the policy to report
+  /// dynamic minislots skipped in one jump, and arrival-delivery checks
+  /// elided until the next arrival is due. Requires the policy to report
   /// compiled_capable(); falls back to the interpreted walk per cycle
   /// when it does not, or when the structural fault provider reports
   /// possible wire-level faults in the cycle's window.
@@ -49,12 +50,26 @@ enum class EngineMode : std::uint8_t {
   return "unknown";
 }
 
+/// One dynamic-message release, delivered to the policy through
+/// TransmissionPolicy::on_dynamic_arrival.
+struct Arrival {
+  sim::Time at;
+  int message_id = 0;
+};
+
 class Cluster {
  public:
   /// `trace` may be nullptr to disable tracing.
-  Cluster(sim::Engine& engine, const ClusterConfig& cfg,
-          TransmissionPolicy& policy, CorruptionFn corruption,
-          sim::Trace* trace = nullptr);
+  Cluster(const ClusterConfig& cfg, TransmissionPolicy& policy,
+          CorruptionFn corruption, sim::Trace* trace = nullptr);
+
+  /// Install the dynamic-message arrivals of the run. Must be called
+  /// before the first cycle (throws std::logic_error afterwards). The
+  /// list is stable-sorted by time, so equal-time arrivals are delivered
+  /// in the order given. Each arrival reaches the policy once, at the
+  /// first slot/minislot/cycle boundary at or after its time; arrivals
+  /// past the last executed cycle are never delivered.
+  void set_arrivals(std::vector<Arrival> arrivals);
 
   /// Install a structural fault provider (node/channel topology faults).
   /// Must outlive the cluster; nullptr detaches. Transitions are drained
@@ -97,6 +112,10 @@ class Cluster {
   void run_until(sim::Time t);
 
   [[nodiscard]] std::int64_t cycles_run() const { return next_cycle_.value(); }
+  /// Simulated time reached: the end of the last executed cycle.
+  [[nodiscard]] sim::Time now() const {
+    return timing_.cycle_start(next_cycle_);
+  }
   [[nodiscard]] const Channel& channel(ChannelId id) const {
     return channels_[static_cast<std::size_t>(id)];
   }
@@ -104,7 +123,6 @@ class Cluster {
   [[nodiscard]] const ClusterConfig& config() const {
     return timing_.config();
   }
-  [[nodiscard]] sim::Engine& engine() { return engine_; }
 
   /// Total wire capacity of the dynamic segment so far (minislots
   /// elapsed across both channels), for utilization metrics.
@@ -119,14 +137,21 @@ class Cluster {
 
  private:
   void execute_cycle(units::CycleIndex cycle);
+  /// Deliver every pending arrival with time <= `t`, in list order.
+  void deliver_arrivals(sim::Time t);
+  /// Time of the next undelivered arrival, or Time::max() when none.
+  [[nodiscard]] sim::Time next_arrival_time() const {
+    return next_arrival_ < arrivals_.size() ? arrivals_[next_arrival_].at
+                                            : sim::Time::max();
+  }
   void apply_topology_events(units::CycleIndex cycle, sim::Time at);
   void execute_static_segment(units::CycleIndex cycle);
   void execute_dynamic_segment(units::CycleIndex cycle, ChannelId channel);
   /// Phased static walk: decide → batched verdicts → commit, chunked at
-  /// pending engine events so arrivals land between the same slots as
-  /// in the interpreted walk.
+  /// pending arrivals so they land between the same slots as in the
+  /// interpreted walk.
   void execute_static_segment_compiled(units::CycleIndex cycle);
-  /// Dynamic walk with run_until elision and idle-minislot skipping.
+  /// Dynamic walk with delivery-check elision and idle-minislot skipping.
   void execute_dynamic_segment_compiled(units::CycleIndex cycle,
                                         ChannelId channel);
   /// True when this cycle may run the compiled walk (mode, policy
@@ -141,7 +166,6 @@ class Cluster {
                                            ChannelId channel,
                                            sim::Time at) const;
 
-  sim::Engine& engine_;
   CycleTiming timing_;
   TransmissionPolicy& policy_;
   std::array<Channel, kNumChannels> channels_;
@@ -151,6 +175,8 @@ class Cluster {
   EngineMode mode_ = EngineMode::kCompiled;
   BatchCorruptionFn batch_corruption_;
   sim::Arena arena_;  ///< per-cycle transients (decisions, verdicts)
+  std::vector<Arrival> arrivals_;  ///< sorted by time (set_arrivals)
+  std::size_t next_arrival_ = 0;   ///< first undelivered arrival
   std::int64_t compiled_cycles_ = 0;
 };
 

@@ -36,7 +36,7 @@ class TransmissionPolicy {
 
   /// Decide every static slot in [slot_begin, slot_end] (both channels)
   /// and stage the honoured requests into `sink`. The compiled cycle
-  /// walk calls this once per event-free run of slots; an override may
+  /// walk calls this once per arrival-free run of slots; an override may
   /// batch or memoize its internal lookups, but MUST stage exactly the
   /// requests the equivalent per-slot static_slot calls would, in the
   /// same order, with the same side effects. Default: that per-slot
@@ -84,6 +84,15 @@ class TransmissionPolicy {
                                  units::CycleIndex cycle, sim::Time at) {
     (void)event;
     (void)cycle;
+    (void)at;
+  }
+
+  /// A dynamic message `message_id` was released at `at`. The Cluster
+  /// delivers each installed arrival (Cluster::set_arrivals) once, in
+  /// time order, before the first slot/minislot decision at or after
+  /// `at`. Default: ignore.
+  virtual void on_dynamic_arrival(int message_id, sim::Time at) {
+    (void)message_id;
     (void)at;
   }
 

@@ -2,11 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "core/experiment.hpp"
 #include "fault/injector.hpp"
 #include "flexray/cluster.hpp"
 #include "net/workloads.hpp"
-#include "sim/engine.hpp"
 
 namespace coeff::core {
 namespace {
@@ -63,15 +65,14 @@ struct Harness {
                     return opt;
                   }()),
         injector(ber, 1),
-        cluster(engine, small_cluster(), scheduler,
+        cluster(small_cluster(), scheduler,
                 injector.as_corruption_fn()) {}
 
   void run(sim::Time until) {
     cluster.run_until(until);
-    scheduler.finalize(engine.now());
+    scheduler.finalize(cluster.now());
   }
 
-  sim::Engine engine;
   CoEfficientScheduler scheduler;
   fault::FaultInjector injector;
   flexray::Cluster cluster;
@@ -148,12 +149,9 @@ TEST(CoEfficientTest, DualChannelRedundancyDefeatsSingleChannelFaults) {
 TEST(CoEfficientTest, DynamicMessagesServedInDynamicSegment) {
   net::MessageSet dynamics({dynamic_msg(10, 0, 9, 200)});
   Harness h({}, dynamics);
-  // Inject arrivals manually.
-  for (int i = 0; i < 5; ++i) {
-    h.engine.schedule_at(sim::millis(i * 10), [&, i] {
-      h.scheduler.add_dynamic_arrival(10, sim::millis(i * 10));
-    });
-  }
+  std::vector<flexray::Arrival> arrivals;
+  for (int i = 0; i < 5; ++i) arrivals.push_back({sim::millis(i * 10), 10});
+  h.cluster.set_arrivals(std::move(arrivals));
   h.run(sim::millis(60));
   const auto& d = h.scheduler.stats().dynamics;
   EXPECT_EQ(d.released, 5);
@@ -170,11 +168,9 @@ TEST(CoEfficientTest, StarvedFrameIdRescuedThroughStolenSlack) {
   // (8 static slots + 40 minislots); only slack stealing can carry it.
   net::MessageSet dynamics({dynamic_msg(10, 0, 200, 200, 20)});
   Harness h({}, dynamics);
-  for (int i = 0; i < 4; ++i) {
-    h.engine.schedule_at(sim::millis(i * 20), [&, i] {
-      h.scheduler.add_dynamic_arrival(10, sim::millis(i * 20));
-    });
-  }
+  std::vector<flexray::Arrival> arrivals;
+  for (int i = 0; i < 4; ++i) arrivals.push_back({sim::millis(i * 20), 10});
+  h.cluster.set_arrivals(std::move(arrivals));
   h.run(sim::millis(90));
   const auto& d = h.scheduler.stats().dynamics;
   EXPECT_EQ(d.delivered, 4);
@@ -203,10 +199,7 @@ TEST(CoEfficientTest, SharedDynamicFrameIdServedByPriorityQueue) {
   net::MessageSet dynamics(
       {dynamic_msg(10, 0, 9, 200), dynamic_msg(11, 0, 9, 400)});
   Harness h({}, dynamics);
-  h.engine.schedule_at(sim::Time::zero(), [&h] {
-    h.scheduler.add_dynamic_arrival(10, sim::Time::zero());
-    h.scheduler.add_dynamic_arrival(11, sim::Time::zero());
-  });
+  h.cluster.set_arrivals({{sim::Time::zero(), 10}, {sim::Time::zero(), 11}});
   h.run(sim::millis(20));
   const auto& d = h.scheduler.stats().dynamics;
   EXPECT_EQ(d.released, 2);
@@ -237,12 +230,11 @@ TEST(CoEfficientTest, FpAdmissionPathRuns) {
   opt.use_fp_admission = true;
   CoEfficientScheduler sched(small_cluster(), statics, {}, sim::millis(50),
                              opt);
-  sim::Engine engine;
   fault::FaultInjector injector(0.0, 1);
-  flexray::Cluster cluster(engine, small_cluster(), sched,
+  flexray::Cluster cluster(small_cluster(), sched,
                            injector.as_corruption_fn());
   cluster.run_until(sim::millis(60));
-  sched.finalize(engine.now());
+  sched.finalize(cluster.now());
   // Every instance still delivered; the acceptance test may reject some
   // copies but must never break the primaries.
   EXPECT_EQ(sched.stats().statics.missed, 0);

@@ -15,12 +15,15 @@
 //   coeffctl lint --statics my_matrix.csv --trace --sarif report.sarif
 #include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "analysis/prob_cli.hpp"
@@ -216,6 +219,44 @@ bool parse_seed(const char* text, std::uint64_t& seed) {
   return true;
 }
 
+/// Parse a numeric flag value: all of it, decimal, in range of T (and
+/// finite for floating point). A stray character is a usage error, not
+/// a silent 0 or a truncated number.
+template <typename T>
+std::optional<T> parse_number(const char* text) {
+  if (text[0] == '\0' || std::isspace(static_cast<unsigned char>(text[0]))) {
+    return std::nullopt;
+  }
+  errno = 0;
+  char* end = nullptr;
+  if constexpr (std::is_floating_point_v<T>) {
+    const double value = std::strtod(text, &end);
+    if (*end != '\0' || !std::isfinite(value)) return std::nullopt;
+    return static_cast<T>(value);
+  } else {
+    const long long value = std::strtoll(text, &end, 10);
+    if (errno != 0 || *end != '\0' ||
+        value < std::numeric_limits<T>::min() ||
+        value > std::numeric_limits<T>::max()) {
+      return std::nullopt;
+    }
+    return static_cast<T>(value);
+  }
+}
+
+/// The value of numeric flag `flag`; exits 2 with the usage hint when
+/// parse_number rejects it.
+template <typename T>
+T number_flag(const char* flag, const char* text) {
+  const auto value = parse_number<T>(text);
+  if (!value.has_value()) {
+    std::fprintf(stderr, "coeffctl: bad %s value '%s'\n", flag, text);
+    usage_hint();
+    std::exit(2);
+  }
+  return *value;
+}
+
 void campaign_usage() {
   std::puts(
       "coeffctl campaign — crash-safe sharded scenario campaigns (DESIGN.md §13)\n"
@@ -282,31 +323,47 @@ std::optional<flexray::ChannelId> parse_channel(const std::string& name) {
   std::exit(2);
 }
 
+/// One numeric field of a colon-separated fault spec; bad_spec on junk.
+template <typename T>
+T spec_number(const char* flag, const std::string& spec,
+              const std::string& field) {
+  const auto value = parse_number<T>(field.c_str());
+  if (!value.has_value()) bad_spec(flag, spec);
+  return *value;
+}
+
 void parse_crash_spec(const std::string& spec, CliOptions& opt) {
   const auto parts = split_spec(spec);
   if (parts.size() != 3) bad_spec("--crash", spec);
-  opt.structural.crashes.push_back({units::NodeId{std::atoi(parts[0].c_str())},
-                                    sim::millis(std::atoll(parts[1].c_str())),
-                                    sim::millis(std::atoll(parts[2].c_str()))});
+  const auto ms = [&](const std::string& field) {
+    return sim::millis(spec_number<std::int64_t>("--crash", spec, field));
+  };
+  opt.structural.crashes.push_back(
+      {units::NodeId{spec_number<int>("--crash", spec, parts[0])},
+       ms(parts[1]), ms(parts[2])});
 }
 
 void parse_blackout_spec(const std::string& spec, CliOptions& opt) {
   const auto parts = split_spec(spec);
   const auto channel = parts.empty() ? std::nullopt : parse_channel(parts[0]);
   if (parts.size() != 3 || !channel.has_value()) bad_spec("--blackout", spec);
-  opt.structural.blackouts.push_back(
-      {*channel, sim::millis(std::atoll(parts[1].c_str())),
-       sim::millis(std::atoll(parts[2].c_str()))});
+  const auto ms = [&](const std::string& field) {
+    return sim::millis(spec_number<std::int64_t>("--blackout", spec, field));
+  };
+  opt.structural.blackouts.push_back({*channel, ms(parts[1]), ms(parts[2])});
 }
 
 void parse_babble_spec(const std::string& spec, CliOptions& opt) {
   const auto parts = split_spec(spec);
   if (parts.size() != 4 && parts.size() != 5) bad_spec("--babble", spec);
   fault::BabbleWindow babble;
-  babble.babbler = units::NodeId{std::atoi(parts[0].c_str())};
-  babble.slot = units::SlotId{std::atoi(parts[1].c_str())};
-  babble.at = sim::millis(std::atoll(parts[2].c_str()));
-  babble.until = sim::millis(std::atoll(parts[3].c_str()));
+  const auto ms = [&](const std::string& field) {
+    return sim::millis(spec_number<std::int64_t>("--babble", spec, field));
+  };
+  babble.babbler = units::NodeId{spec_number<int>("--babble", spec, parts[0])};
+  babble.slot = units::SlotId{spec_number<int>("--babble", spec, parts[1])};
+  babble.at = ms(parts[2]);
+  babble.until = ms(parts[3]);
   if (parts.size() == 5) {
     babble.channel = parse_channel(parts[4]);
     if (!babble.channel.has_value()) bad_spec("--babble", spec);
@@ -317,10 +374,13 @@ void parse_babble_spec(const std::string& spec, CliOptions& opt) {
 void parse_drift_spec(const std::string& spec, CliOptions& opt) {
   const auto parts = split_spec(spec);
   if (parts.size() != 4) bad_spec("--drift", spec);
-  opt.structural.drifts.push_back({units::NodeId{std::atoi(parts[0].c_str())},
-                                   sim::millis(std::atoll(parts[1].c_str())),
-                                   sim::millis(std::atoll(parts[2].c_str())),
-                                   std::atof(parts[3].c_str())});
+  const auto ms = [&](const std::string& field) {
+    return sim::millis(spec_number<std::int64_t>("--drift", spec, field));
+  };
+  opt.structural.drifts.push_back(
+      {units::NodeId{spec_number<int>("--drift", spec, parts[0])},
+       ms(parts[1]), ms(parts[2]),
+       spec_number<double>("--drift", spec, parts[3])});
 }
 
 bool parse(int argc, char** argv, CliOptions& opt) {
@@ -332,6 +392,11 @@ bool parse(int argc, char** argv, CliOptions& opt) {
         std::exit(2);
       }
       return argv[++i];
+    };
+    // Store the current numeric flag's value into `field`.
+    auto number = [&](auto& field) {
+      field = number_flag<std::remove_reference_t<decltype(field)>>(
+          arg.c_str(), next(arg.c_str()));
     };
     if (arg == "--help" || arg == "-h") {
       usage();
@@ -345,19 +410,19 @@ bool parse(int argc, char** argv, CliOptions& opt) {
     } else if (arg == "--dynamics") {
       opt.dynamics_csv = next("--dynamics");
     } else if (arg == "--messages") {
-      opt.messages = std::atoi(next("--messages"));
+      number(opt.messages);
     } else if (arg == "--minislots") {
-      opt.minislots = std::atoll(next("--minislots"));
+      number(opt.minislots);
     } else if (arg == "--ber") {
-      opt.ber = std::atof(next("--ber"));
+      number(opt.ber);
     } else if (arg == "--sil") {
-      opt.sil = std::atoi(next("--sil"));
+      number(opt.sil);
     } else if (arg == "--window-ms") {
-      opt.window_ms = std::atoll(next("--window-ms"));
+      number(opt.window_ms);
     } else if (arg == "--seed") {
       if (!parse_seed(next("--seed"), opt.seed)) return false;
     } else if (arg == "--burst") {
-      opt.burst = std::atoi(next("--burst"));
+      number(opt.burst);
     } else if (arg == "--drain") {
       opt.drain = true;
     } else if (arg == "--no-dynamics") {
@@ -373,7 +438,7 @@ bool parse(int argc, char** argv, CliOptions& opt) {
         std::exit(2);
       }
     } else if (arg == "--jobs") {
-      opt.jobs = std::atoi(next("--jobs"));
+      number(opt.jobs);
     } else if (arg == "--sweep-json") {
       opt.sweep_json = next("--sweep-json");
     } else if (arg == "--fault-model") {
@@ -385,23 +450,23 @@ bool parse(int argc, char** argv, CliOptions& opt) {
       }
       opt.fault_model.kind = *kind;
     } else if (arg == "--ge-p-gb") {
-      opt.fault_model.gilbert_elliott.p_good_to_bad = std::atof(next(arg.c_str()));
+      number(opt.fault_model.gilbert_elliott.p_good_to_bad);
     } else if (arg == "--ge-p-bg") {
-      opt.fault_model.gilbert_elliott.p_bad_to_good = std::atof(next(arg.c_str()));
+      number(opt.fault_model.gilbert_elliott.p_bad_to_good);
     } else if (arg == "--ge-ber-good") {
-      opt.fault_model.gilbert_elliott.ber_good = std::atof(next(arg.c_str()));
+      number(opt.fault_model.gilbert_elliott.ber_good);
     } else if (arg == "--ge-ber-bad") {
-      opt.fault_model.gilbert_elliott.ber_bad = std::atof(next(arg.c_str()));
+      number(opt.fault_model.gilbert_elliott.ber_bad);
     } else if (arg == "--common-fraction") {
-      opt.fault_model.common_fraction = std::atof(next(arg.c_str()));
+      number(opt.fault_model.common_fraction);
     } else if (arg == "--ber-step-ms") {
-      opt.ber_step_ms = std::atoll(next(arg.c_str()));
+      number(opt.ber_step_ms);
     } else if (arg == "--ber-step") {
-      opt.ber_step = std::atof(next(arg.c_str()));
+      number(opt.ber_step);
     } else if (arg == "--ber-step2-ms") {
-      opt.ber_step2_ms = std::atoll(next(arg.c_str()));
+      number(opt.ber_step2_ms);
     } else if (arg == "--ber-step2") {
-      opt.ber_step2 = std::atof(next(arg.c_str()));
+      number(opt.ber_step2);
     } else if (arg == "--mode-policy") {
       opt.mode_policy = next(arg.c_str());
     } else if (arg == "--criticality") {
@@ -411,11 +476,11 @@ bool parse(int argc, char** argv, CliOptions& opt) {
     } else if (arg == "--monitor") {
       opt.monitor = true;
     } else if (arg == "--monitor-window") {
-      opt.monitor_opt.window_cycles = std::atoi(next(arg.c_str()));
+      number(opt.monitor_opt.window_cycles);
     } else if (arg == "--monitor-factor") {
-      opt.monitor_opt.trigger_factor = std::atof(next(arg.c_str()));
+      number(opt.monitor_opt.trigger_factor);
     } else if (arg == "--monitor-cooldown") {
-      opt.monitor_opt.cooldown_cycles = std::atoi(next(arg.c_str()));
+      number(opt.monitor_opt.cooldown_cycles);
     } else if (arg == "--crash") {
       parse_crash_spec(next(arg.c_str()), opt);
     } else if (arg == "--blackout") {
@@ -425,19 +490,19 @@ bool parse(int argc, char** argv, CliOptions& opt) {
     } else if (arg == "--drift") {
       parse_drift_spec(next(arg.c_str()), opt);
     } else if (arg == "--crash-rate") {
-      opt.crash_rate = std::atof(next(arg.c_str()));
+      number(opt.crash_rate);
     } else if (arg == "--crash-mttr-ms") {
-      opt.crash_mttr_ms = std::atoll(next(arg.c_str()));
+      number(opt.crash_mttr_ms);
     } else if (arg == "--outage-rate") {
-      opt.outage_rate = std::atof(next(arg.c_str()));
+      number(opt.outage_rate);
     } else if (arg == "--outage-ms") {
-      opt.outage_ms = std::atoll(next(arg.c_str()));
+      number(opt.outage_ms);
     } else if (arg == "--vote") {
-      opt.vote = std::atoi(next(arg.c_str()));
+      number(opt.vote);
     } else if (arg == "--silent-detect") {
       opt.silent_detect = true;
     } else if (arg == "--silent-threshold") {
-      opt.silent_threshold = std::atoi(next(arg.c_str()));
+      number(opt.silent_threshold);
     } else if (arg == "--trace") {
       opt.lint_trace = true;
     } else if (arg == "--sarif") {
@@ -855,6 +920,11 @@ bool parse_campaign(int argc, char** argv, CampaignCli& cli) {
       }
       return argv[++i];
     };
+    // Store the current numeric flag's value into `field`.
+    auto number = [&](auto& field) {
+      field = number_flag<std::remove_reference_t<decltype(field)>>(
+          arg.c_str(), next(arg.c_str()));
+    };
     if (arg == "--help" || arg == "-h") {
       campaign_usage();
       std::exit(0);
@@ -869,11 +939,11 @@ bool parse_campaign(int argc, char** argv, CampaignCli& cli) {
     } else if (arg == "--dir") {
       cli.dir = next("--dir");
     } else if (arg == "--cells") {
-      m.cells = std::atoll(next("--cells"));
+      number(m.cells);
     } else if (arg == "--seed") {
       if (!parse_seed(next("--seed"), m.seed)) return false;
     } else if (arg == "--shards") {
-      m.shards = std::atoi(next("--shards"));
+      number(m.shards);
     } else if (arg == "--name") {
       m.name = next("--name");
     } else if (arg == "--isolation") {
@@ -888,13 +958,13 @@ bool parse_campaign(int argc, char** argv, CampaignCli& cli) {
         return false;
       }
     } else if (arg == "--watchdog-ms") {
-      m.watchdog_ms = std::atoll(next("--watchdog-ms"));
+      number(m.watchdog_ms);
     } else if (arg == "--max-attempts") {
-      m.max_attempts = std::atoi(next("--max-attempts"));
+      number(m.max_attempts);
     } else if (arg == "--backoff-ms") {
-      m.backoff_base_ms = std::atoll(next("--backoff-ms"));
+      number(m.backoff_base_ms);
     } else if (arg == "--window-ms") {
-      d.window_ms = std::atoll(next("--window-ms"));
+      number(d.window_ms);
     } else if (arg == "--schemes") {
       d.schemes.clear();
       const std::string list = next("--schemes");
@@ -914,13 +984,13 @@ bool parse_campaign(int argc, char** argv, CampaignCli& cli) {
         at = comma + 1;
       }
     } else if (arg == "--min-nodes") {
-      d.min_nodes = std::atoi(next("--min-nodes"));
+      number(d.min_nodes);
     } else if (arg == "--max-nodes") {
-      d.max_nodes = std::atoi(next("--max-nodes"));
+      number(d.max_nodes);
     } else if (arg == "--min-util") {
-      d.min_util = std::atof(next("--min-util"));
+      number(d.min_util);
     } else if (arg == "--max-util") {
-      d.max_util = std::atof(next("--max-util"));
+      number(d.max_util);
     } else if (arg == "--criticality") {
       d.criticality = true;
     } else if (arg == "--no-fsync") {
