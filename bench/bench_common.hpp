@@ -16,6 +16,7 @@
 #include "core/experiment.hpp"
 #include "core/sweep.hpp"
 #include "net/workloads.hpp"
+#include "sim/parse_number.hpp"
 
 namespace coeff::bench {
 
@@ -110,6 +111,19 @@ struct BenchOptions {
   std::string sweep_json = "BENCH_sweep.json";
 };
 
+/// The value of numeric flag `flag` for program `argv0`; exits 2 when
+/// sim::parse_number rejects it (junk, a trailing character, out of
+/// range).
+template <typename T>
+T number_arg(const char* argv0, const char* flag, const char* text) {
+  const auto value = sim::parse_number<T>(text);
+  if (!value.has_value()) {
+    std::fprintf(stderr, "%s: bad %s value '%s'\n", argv0, flag, text);
+    std::exit(2);
+  }
+  return *value;
+}
+
 inline BenchOptions parse_bench_args(int argc, char** argv) {
   BenchOptions opt;
   for (int i = 1; i < argc; ++i) {
@@ -122,7 +136,7 @@ inline BenchOptions parse_bench_args(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--jobs" || arg == "-j") {
-      opt.jobs = std::atoi(next("--jobs"));
+      opt.jobs = number_arg<int>(argv[0], "--jobs", next("--jobs"));
     } else if (arg == "--sweep-json") {
       opt.sweep_json = next("--sweep-json");
     } else if (arg == "--help" || arg == "-h") {

@@ -8,8 +8,8 @@
 // flat CycleTemplate walk buys over the slot-by-slot table
 // interpretation. The workload window is fixed, so the cycle count per
 // run is deterministic; each (scheme, engine) cell reports the median
-// of N repetitions, which makes the number stable enough to gate CI on
-// (tools/bench_gate.py).
+// of N repetitions, taken alternately with the other engine's, which
+// makes the ratio stable enough to gate CI on (tools/bench_gate.py).
 //
 // Output: a human table on stdout, a JSON report (default
 // BENCH_cycle.json; bench/BENCH_cycle.json holds the committed
@@ -44,10 +44,11 @@ MicroOptions parse_micro_args(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--reps") {
-      opt.reps = std::atoi(next("--reps"));
+      opt.reps = number_arg<int>(argv[0], "--reps", next("--reps"));
       if (opt.reps < 1) opt.reps = 1;
     } else if (arg == "--window-ms") {
-      opt.window_ms = std::atoll(next("--window-ms"));
+      opt.window_ms =
+          number_arg<std::int64_t>(argv[0], "--window-ms", next("--window-ms"));
     } else if (arg == "--json") {
       opt.json = next("--json");
     } else if (arg == "--trajectory") {
@@ -156,49 +157,64 @@ const char* engine_name(flexray::EngineMode engine) {
                                                   : "interpreted";
 }
 
-CellResult run_cell(const MicroOptions& opt, const Suite& suite,
-                    core::SchemeKind scheme, flexray::EngineMode engine) {
-  core::ExperimentConfig config = suite.config(opt.window_ms);
-  config.engine = engine;
-  CellResult cell{suite.name, scheme, engine, 0, 0.0};
-  std::vector<double> seconds;
-  seconds.reserve(static_cast<std::size_t>(opt.reps));
-  double miss_ratio = 0.0;
+/// One scheme under each of `engines`. Repetitions alternate between
+/// the engines, so a change in host speed during the run (a noisy
+/// neighbour, frequency scaling) slows both sides of the ratio alike
+/// instead of whichever engine happened to be running.
+std::vector<CellResult> run_cells(
+    const MicroOptions& opt, const Suite& suite, core::SchemeKind scheme,
+    const std::vector<flexray::EngineMode>& engines) {
+  std::vector<core::ExperimentConfig> configs;
+  std::vector<CellResult> cells;
+  for (const flexray::EngineMode engine : engines) {
+    configs.push_back(suite.config(opt.window_ms));
+    configs.back().engine = engine;
+    cells.push_back(CellResult{suite.name, scheme, engine, 0, 0.0});
+  }
+  std::vector<std::vector<double>> seconds(engines.size());
+  std::vector<double> miss_ratio(engines.size(), 0.0);
   for (int rep = 0; rep < opt.reps; ++rep) {
-    const core::ExperimentResult result = core::run_experiment(config, scheme);
-    // Time only the cycle walk: scheduler construction and plan solving
-    // are engine-independent setup and would dilute the engine ratio.
-    seconds.push_back(result.walk_seconds);
-    if (engine == flexray::EngineMode::kCompiled &&
-        result.compiled_cycles != result.cycles_run) {
-      std::fprintf(stderr,
-                   "micro_cycle: %s compiled run fell back to interpreted "
-                   "(%lld/%lld cycles compiled) — not measuring the fast "
-                   "path, refusing to report\n",
-                   core::to_string(scheme),
-                   static_cast<long long>(result.compiled_cycles),
-                   static_cast<long long>(result.cycles_run));
-      std::exit(1);
-    }
-    // Deterministic workload: every repetition (and both engines) must
-    // replay the exact same simulation, or the throughput comparison
-    // is measuring different work.
-    if (rep == 0 && cell.cycles == 0) {
-      cell.cycles = result.cycles_run;
-      miss_ratio = result.run.overall_miss_ratio();
-    } else if (result.cycles_run != cell.cycles ||
-               result.run.overall_miss_ratio() != miss_ratio) {
-      std::fprintf(stderr,
-                   "micro_cycle: %s/%s repetition diverged (cycles %lld vs "
-                   "%lld) — engine bug, refusing to report\n",
-                   core::to_string(scheme), engine_name(engine),
-                   static_cast<long long>(result.cycles_run),
-                   static_cast<long long>(cell.cycles));
-      std::exit(1);
+    for (std::size_t e = 0; e < engines.size(); ++e) {
+      CellResult& cell = cells[e];
+      const core::ExperimentResult result =
+          core::run_experiment(configs[e], scheme);
+      // Time only the cycle walk: scheduler construction and plan
+      // solving are engine-independent setup and would dilute the
+      // engine ratio.
+      seconds[e].push_back(result.walk_seconds);
+      if (cell.engine == flexray::EngineMode::kCompiled &&
+          result.compiled_cycles != result.cycles_run) {
+        std::fprintf(stderr,
+                     "micro_cycle: %s compiled run fell back to interpreted "
+                     "(%lld/%lld cycles compiled) — not measuring the fast "
+                     "path, refusing to report\n",
+                     core::to_string(scheme),
+                     static_cast<long long>(result.compiled_cycles),
+                     static_cast<long long>(result.cycles_run));
+        std::exit(1);
+      }
+      // Deterministic workload: every repetition (and both engines)
+      // must replay the exact same simulation, or the throughput
+      // comparison is measuring different work.
+      if (rep == 0) {
+        cell.cycles = result.cycles_run;
+        miss_ratio[e] = result.run.overall_miss_ratio();
+      } else if (result.cycles_run != cell.cycles ||
+                 result.run.overall_miss_ratio() != miss_ratio[e]) {
+        std::fprintf(stderr,
+                     "micro_cycle: %s/%s repetition diverged (cycles %lld vs "
+                     "%lld) — engine bug, refusing to report\n",
+                     core::to_string(scheme), engine_name(cell.engine),
+                     static_cast<long long>(result.cycles_run),
+                     static_cast<long long>(cell.cycles));
+        std::exit(1);
+      }
     }
   }
-  cell.median_seconds = median_of(seconds);
-  return cell;
+  for (std::size_t e = 0; e < engines.size(); ++e) {
+    cells[e].median_seconds = median_of(seconds[e]);
+  }
+  return cells;
 }
 
 void write_json(const MicroOptions& opt, const std::vector<CellResult>& cells,
@@ -241,9 +257,14 @@ int main(int argc, char** argv) {
   constexpr coeff::core::SchemeKind kSchemes[] = {
       coeff::core::SchemeKind::kCoEfficient, coeff::core::SchemeKind::kFspec,
       coeff::core::SchemeKind::kHosa};
-  constexpr coeff::flexray::EngineMode kEngines[] = {
-      coeff::flexray::EngineMode::kCompiled,
-      coeff::flexray::EngineMode::kInterpreted};
+  std::vector<coeff::flexray::EngineMode> engines;
+  for (const auto engine : {coeff::flexray::EngineMode::kCompiled,
+                            coeff::flexray::EngineMode::kInterpreted}) {
+    if (opt.engine.empty() || opt.engine == engine_name(engine)) {
+      engines.push_back(engine);
+    }
+  }
+  const bool both_engines = engines.size() == 2;
 
   std::vector<CellResult> cells;
   std::printf("micro_cycle — cycle-walk throughput, %lld ms window, "
@@ -252,14 +273,9 @@ int main(int argc, char** argv) {
   for (const Suite& suite : kSuites) {
     if (!opt.suite.empty() && opt.suite != suite.name) continue;
     const std::size_t first = cells.size();
-    bool both_engines = true;
     for (const auto scheme : kSchemes) {
-      for (const auto engine : kEngines) {
-        if (!opt.engine.empty() && opt.engine != engine_name(engine)) {
-          both_engines = false;
-          continue;
-        }
-        cells.push_back(run_cell(opt, suite, scheme, engine));
+      for (const CellResult& cell : run_cells(opt, suite, scheme, engines)) {
+        cells.push_back(cell);
       }
     }
     print_header(suite.title);

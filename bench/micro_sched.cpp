@@ -1,8 +1,11 @@
-// Micro-benchmarks of the scheduling and reliability kernels: the costs
-// that bound how fast the offline configuration step and the per-slot
-// online decisions run.
+// Micro-benchmarks of the scheduling, reliability and analysis kernels:
+// the costs that bound how fast the offline configuration step, the
+// per-slot online decisions and the analytic verifier run.
 #include <benchmark/benchmark.h>
 
+#include "analysis/pmf.hpp"
+#include "campaign/scenario.hpp"
+#include "core/experiment.hpp"
 #include "fault/reliability.hpp"
 #include "net/workloads.hpp"
 #include "sched/periodic_schedule.hpp"
@@ -129,6 +132,80 @@ void BM_ReliabilityEvaluation(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ReliabilityEvaluation)->Arg(20)->Arg(200);
+
+// The analytic verifier's interference fold: a unit mass at zero
+// convolved with `range(0)` Bernoulli slot demands on the default
+// 4096-bin, 50 us grid.
+void BM_PmfConvolveBernoulli(benchmark::State& state) {
+  const sim::Time quantum = sim::micros(50);
+  analysis::Pmf bern(quantum, 4096);
+  bern.add_mass(sim::Time::zero(), 0.99);
+  bern.add_mass(sim::micros(300), 0.01);
+  for (auto _ : state) {
+    analysis::Pmf acc = analysis::Pmf::delta(sim::Time::zero(), quantum, 4096);
+    for (std::int64_t i = 0; i < state.range(0); ++i) acc = acc.convolve(bern);
+    benchmark::DoNotOptimize(acc.overflow());
+  }
+}
+BENCHMARK(BM_PmfConvolveBernoulli)->Arg(8)->Arg(64);
+
+// The dynamic verifier's geometric slip operator at its defaults: 4096
+// bins, 64 slips, a 3-bin first-opportunity distribution.
+void BM_WithCycleSlips(benchmark::State& state) {
+  analysis::Pmf first(sim::micros(50), 4096);
+  first.add_mass(sim::micros(100), 0.5);
+  first.add_mass(sim::micros(150), 0.3);
+  first.add_mass(sim::micros(200), 0.2);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        analysis::with_cycle_slips(first, 0.3, sim::millis(1), 64));
+  }
+}
+BENCHMARK(BM_WithCycleSlips);
+
+/// A static set as the verifier's guaranteed-service model sees it: one
+/// task per message at wire speed.
+sched::TaskSet wire_tasks(const flexray::ClusterConfig& cluster,
+                          const net::MessageSet& statics) {
+  std::vector<sched::PeriodicTask> tasks;
+  for (const net::Message& m : statics.messages()) {
+    sched::PeriodicTask t;
+    t.id = m.id;
+    t.wcet = cluster.transmission_time(m.size_bits);
+    t.period = m.period;
+    t.offset = m.offset;
+    t.deadline = m.deadline;
+    tasks.push_back(t);
+  }
+  return sched::TaskSet(std::move(tasks));
+}
+
+// Guaranteed idle per cycle. Arg 0: the apps (bbw + acc) wire set on the
+// 1 ms app cluster. Arg 1: cell 1595 of the 2000-cell campaign
+// `campaign run --cells 2000 --seed 2026 --window-ms 25`, its costliest
+// cross-checked (CoEfficient, no structural fault) cell.
+void BM_MinIdleInWindow(benchmark::State& state) {
+  flexray::ClusterConfig cluster = core::paper_cluster_apps(25);
+  net::MessageSet statics =
+      net::brake_by_wire().merged_with(net::adaptive_cruise());
+  if (state.range(0) == 1) {
+    campaign::ScenarioDistribution dist;
+    dist.schemes = {core::SchemeKind::kCoEfficient, core::SchemeKind::kFspec,
+                    core::SchemeKind::kHosa};
+    dist.window_ms = 25;
+    const campaign::ScenarioGenerator generator(2026, dist);
+    const core::ExperimentConfig config =
+        generator.config(generator.spec(1595));
+    cluster = config.cluster;
+    statics = config.statics;
+  }
+  const sched::TaskSet set = wire_tasks(cluster, statics);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        sched::min_idle_in_window(set, cluster.cycle_duration()));
+  }
+}
+BENCHMARK(BM_MinIdleInWindow)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

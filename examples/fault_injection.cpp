@@ -16,10 +16,12 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <type_traits>
 
 #include "core/experiment.hpp"
 #include "fault/fault_model.hpp"
 #include "fault/reliability.hpp"
+#include "sim/parse_number.hpp"
 
 int main(int argc, char** argv) {
   using namespace coeff;
@@ -35,6 +37,18 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // The value of the current numeric flag; exits 2 on junk.
+    auto number = [&](auto& field) {
+      const char* text = next(arg.c_str());
+      const auto value =
+          sim::parse_number<std::remove_reference_t<decltype(field)>>(text);
+      if (!value.has_value()) {
+        std::fprintf(stderr, "fault_injection: bad %s value '%s'\n",
+                     arg.c_str(), text);
+        std::exit(2);
+      }
+      field = *value;
+    };
     if (arg == "--fault-model") {
       const char* name = next("--fault-model");
       const auto kind = fault::parse_fault_model_kind(name);
@@ -45,17 +59,17 @@ int main(int argc, char** argv) {
       }
       fault_model.kind = *kind;
     } else if (arg == "--ge-p-gb") {
-      fault_model.gilbert_elliott.p_good_to_bad = std::atof(next(arg.c_str()));
+      number(fault_model.gilbert_elliott.p_good_to_bad);
     } else if (arg == "--ge-p-bg") {
-      fault_model.gilbert_elliott.p_bad_to_good = std::atof(next(arg.c_str()));
+      number(fault_model.gilbert_elliott.p_bad_to_good);
     } else if (arg == "--ge-ber-good") {
-      fault_model.gilbert_elliott.ber_good = std::atof(next(arg.c_str()));
+      number(fault_model.gilbert_elliott.ber_good);
     } else if (arg == "--ge-ber-bad") {
-      fault_model.gilbert_elliott.ber_bad = std::atof(next(arg.c_str()));
+      number(fault_model.gilbert_elliott.ber_bad);
     } else if (arg == "--common-fraction") {
-      fault_model.common_fraction = std::atof(next(arg.c_str()));
+      number(fault_model.common_fraction);
     } else if (arg == "--seed") {
-      seed = static_cast<std::uint64_t>(std::atoll(next("--seed")));
+      number(seed);
     } else {
       std::fprintf(stderr,
                    "fault_injection: unknown flag '%s' (supported: "

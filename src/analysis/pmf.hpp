@@ -11,6 +11,12 @@
 //  * Truncation moves mass to the overflow bucket — it is never
 //    dropped, so total_mass() is exact (up to floating point) and the
 //    overflow bucket counts toward every tail query.
+//
+// Every Pmf also keeps a conservative support [support_lo, support_hi):
+// each nonzero bin lies inside it (bins inside may be zero too). The
+// kernels walk only that range, so they cost the support, not the grid,
+// and give bit-identical results to full-grid walks: a skipped bin
+// would only have added +0.0.
 #pragma once
 
 #include <cstdint>
@@ -46,10 +52,15 @@ class Pmf {
   [[nodiscard]] Pmf convolve(const Pmf& other) const;
 
   /// Mixture accumulation: this += weight * other (same quantum).
+  /// Bins of `other` past this grid land in the overflow bucket.
   void accumulate(const Pmf& other, double weight);
 
-  /// The distribution of X + dt (dt >= 0, rounded up to the grid).
-  [[nodiscard]] Pmf shifted(sim::Time dt) const;
+  /// this += weight * (other + dt): the mixture term of `other` delayed
+  /// by dt >= 0 (rounded up to the grid), in one pass. Mass shifted past
+  /// other's grid joins its overflow before weighting, so the result is
+  /// bit-identical to accumulating a shifted copy of `other`. `other`
+  /// must not be *this.
+  void accumulate_shifted(const Pmf& other, sim::Time dt, double weight);
 
   /// P(X > t): mass in bins whose grid value exceeds `t`, plus the
   /// overflow bucket. Because quantization rounded up, this upper-bounds
@@ -69,13 +80,21 @@ class Pmf {
   [[nodiscard]] sim::Time quantum() const { return quantum_; }
   [[nodiscard]] std::size_t max_bins() const { return bins_.size(); }
   [[nodiscard]] const std::vector<double>& bins() const { return bins_; }
+  /// Every nonzero bin index i satisfies support_lo() <= i < support_hi();
+  /// an all-zero grid has support_lo() == support_hi().
+  [[nodiscard]] std::size_t support_lo() const { return lo_; }
+  [[nodiscard]] std::size_t support_hi() const { return hi_; }
 
  private:
   [[nodiscard]] std::size_t bin_of(sim::Time t) const;
+  /// Widen the support to cover [lo, hi) (no-op when lo >= hi).
+  void cover(std::size_t lo, std::size_t hi);
 
   sim::Time quantum_;
   std::vector<double> bins_;
   double overflow_ = 0.0;
+  std::size_t lo_ = 0;
+  std::size_t hi_ = 0;
 };
 
 /// Geometric cycle-slip composition (DESIGN.md §15): a transmission that
@@ -83,10 +102,11 @@ class Pmf {
 /// cycle and retries. Given the first-opportunity delay distribution and
 /// a per-cycle slip probability, returns
 ///
-///   sum_{j=0..max_slips} (1-p_slip) * p_slip^j * first.shifted(j*cycle)
+///   sum_{j=0..max_slips} (1-p_slip) * p_slip^j * (first + j*cycle)
 ///   + p_slip^(max_slips+1) * total_mass(first)  -> overflow bucket
 ///
-/// The truncated geometric tail goes to the overflow bucket, never
+/// Each term is one accumulate_shifted pass over first's support. The
+/// truncated geometric tail goes to the overflow bucket, never
 /// dropped, so total mass is conserved and every tail query stays an
 /// upper bound. Throws std::invalid_argument when p_slip is outside
 /// [0, 1], max_slips is negative, or cycle is negative.

@@ -1,22 +1,18 @@
 #include "analysis/prob_cli.hpp"
 
-#include <cerrno>
-#include <cstdlib>
+#include "sim/parse_number.hpp"
 
 namespace coeff::analysis {
 
 namespace {
 
-/// Strict integer parse: the whole token must be a decimal number that
-/// fits an int64 (atoll's silent truncation is exactly what a fuzzer
-/// would exploit into an out-of-range bin count).
+/// Strict integer parse (sim/parse_number.hpp): the whole token must be
+/// a decimal number that fits an int64 (atoll's silent truncation is
+/// exactly what a fuzzer would exploit into an out-of-range bin count).
 bool parse_int(const std::string& text, std::int64_t& out) {
-  if (text.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  const long long v = std::strtoll(text.c_str(), &end, 10);
-  if (errno == ERANGE || end == text.c_str() || *end != '\0') return false;
-  out = v;
+  const auto value = sim::parse_number<std::int64_t>(text.c_str());
+  if (!value.has_value()) return false;
+  out = *value;
   return true;
 }
 

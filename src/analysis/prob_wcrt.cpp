@@ -293,7 +293,7 @@ ProbWcrtResult analyze_prob_wcrt(const ProbWcrtInput& input) {
       const double f_next = chain_fail(af, input.discipline, m.size_bits, wire);
       const double mass = std::max(0.0, f_prev - f_next);
       if (contended) {
-        response.accumulate(delay.shifted(base), mass);
+        response.accumulate_shifted(delay, base, mass);
       } else {
         response.add_mass(base, mass);
       }

@@ -1,12 +1,14 @@
 #include "campaign/manifest.hpp"
 
 #include <cinttypes>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <stdexcept>
+#include <type_traits>
 
 #include "campaign/checkpoint.hpp"
+#include "sim/parse_number.hpp"
 
 namespace coeff::campaign {
 
@@ -18,40 +20,23 @@ std::string format_double(double value) {
   return buf;
 }
 
-/// Strict double parse (whole field must be consumed, finite result).
-bool parse_double(const std::string& text, double& out) {
-  if (text.empty()) return false;
-  char* end = nullptr;
-  const double value = std::strtod(text.c_str(), &end);
-  if (end == nullptr || *end != '\0' || !std::isfinite(value)) return false;
-  out = value;
-  return true;
-}
-
-bool parse_u64_field(const std::string& text, std::uint64_t& out) {
-  if (text.empty() || text.size() > 20) return false;
-  std::uint64_t value = 0;
-  for (const char c : text) {
-    if (c < '0' || c > '9') return false;
-    const auto digit = static_cast<std::uint64_t>(c - '0');
-    if (value > (UINT64_MAX - digit) / 10) return false;
-    value = value * 10 + digit;
+/// A manifest field, parsed strictly (sim/parse_number.hpp): the whole
+/// value, finite; integers are unsigned decimal (no sign) in range of T.
+template <typename T>
+bool parse_field(const std::string& text, T& out) {
+  if constexpr (std::is_floating_point_v<T>) {
+    const auto value = sim::parse_number<T>(text.c_str());
+    if (!value.has_value()) return false;
+    out = *value;
+  } else {
+    using Unsigned = std::make_unsigned_t<T>;
+    const auto value = sim::parse_number<Unsigned>(text.c_str());
+    if (!value.has_value() ||
+        *value > static_cast<Unsigned>(std::numeric_limits<T>::max())) {
+      return false;
+    }
+    out = static_cast<T>(*value);
   }
-  out = value;
-  return true;
-}
-
-bool parse_i64_field(const std::string& text, std::int64_t& out) {
-  std::uint64_t wide = 0;
-  if (!parse_u64_field(text, wide) || wide > INT64_MAX) return false;
-  out = static_cast<std::int64_t>(wide);
-  return true;
-}
-
-bool parse_int_field(const std::string& text, int& out) {
-  std::int64_t wide = 0;
-  if (!parse_i64_field(text, wide) || wide > INT32_MAX) return false;
-  out = static_cast<int>(wide);
   return true;
 }
 
@@ -182,11 +167,11 @@ ManifestLoad parse_manifest(std::string_view bytes) {
     if (key == "name") {
       m.name = value;
     } else if (key == "seed") {
-      ok = parse_u64_field(value, m.seed);
+      ok = parse_field(value, m.seed);
     } else if (key == "cells") {
-      ok = parse_i64_field(value, m.cells);
+      ok = parse_field(value, m.cells);
     } else if (key == "shards") {
-      ok = parse_int_field(value, m.shards);
+      ok = parse_field(value, m.shards);
     } else if (key == "isolation") {
       if (value == "process") {
         m.isolation = Isolation::kProcess;
@@ -196,29 +181,29 @@ ManifestLoad parse_manifest(std::string_view bytes) {
         ok = false;
       }
     } else if (key == "watchdog_ms") {
-      ok = parse_i64_field(value, m.watchdog_ms);
+      ok = parse_field(value, m.watchdog_ms);
     } else if (key == "max_attempts") {
-      ok = parse_int_field(value, m.max_attempts);
+      ok = parse_field(value, m.max_attempts);
     } else if (key == "backoff_base_ms") {
-      ok = parse_i64_field(value, m.backoff_base_ms);
+      ok = parse_field(value, m.backoff_base_ms);
     } else if (key == "min_nodes") {
-      ok = parse_int_field(value, d.min_nodes);
+      ok = parse_field(value, d.min_nodes);
     } else if (key == "max_nodes") {
-      ok = parse_int_field(value, d.max_nodes);
+      ok = parse_field(value, d.max_nodes);
     } else if (key == "min_statics") {
-      ok = parse_int_field(value, d.min_statics);
+      ok = parse_field(value, d.min_statics);
     } else if (key == "max_statics") {
-      ok = parse_int_field(value, d.max_statics);
+      ok = parse_field(value, d.max_statics);
     } else if (key == "max_dynamics") {
-      ok = parse_int_field(value, d.max_dynamics);
+      ok = parse_field(value, d.max_dynamics);
     } else if (key == "min_util") {
-      ok = parse_double(value, d.min_util);
+      ok = parse_field(value, d.min_util);
     } else if (key == "max_util") {
-      ok = parse_double(value, d.max_util);
+      ok = parse_field(value, d.max_util);
     } else if (key == "min_log10_ber") {
-      ok = parse_double(value, d.min_log10_ber);
+      ok = parse_field(value, d.min_log10_ber);
     } else if (key == "max_log10_ber") {
-      ok = parse_double(value, d.max_log10_ber);
+      ok = parse_field(value, d.max_log10_ber);
     } else if (key == "schemes") {
       d.schemes.clear();
       std::size_t at = 0;
@@ -237,7 +222,7 @@ ManifestLoad parse_manifest(std::string_view bytes) {
       }
       ok = ok && !d.schemes.empty();
     } else if (key == "window_ms") {
-      ok = parse_i64_field(value, d.window_ms);
+      ok = parse_field(value, d.window_ms);
     } else if (key == "criticality") {
       if (value == "on") {
         d.criticality = true;

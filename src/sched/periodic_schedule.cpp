@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <deque>
+#include <functional>
+#include <queue>
 #include <stdexcept>
+#include <utility>
 
 namespace coeff::sched {
 
@@ -170,63 +173,92 @@ sim::Time min_idle_in_window(const TaskSet& set, sim::Time window) {
   if (window <= sim::Time::zero()) return sim::Time::zero();
   if (set.empty()) return window;  // no tasks: all time is idle
   set.validate();
-  // [0, H) carries the offset-induced transient; [H, 3H) repeats, and
-  // every window start folds into [H, 2H).
+  // [0, H) carries the offset-induced transient. From H on the idle
+  // pattern repeats every H (offsets are at most one period, so the
+  // releases repeat, and the backlog at 2H equals the backlog at H), so
+  // every window start folds into [H, 2H) and each whole hyperperiod of
+  // the window adds one steady-state hyperperiod's idle.
   const sim::Time h = set.hyperperiod();
+  const std::int64_t wraps = window / h;
+  const sim::Time rest = window % h;
   const sim::Time hi = h * 2;
-  const sim::Time end = h * 3;
-  const std::vector<TimelineSegment> timeline =
-      simulate_periodic(set, end).timeline;
+  const sim::Time end = hi + rest;
 
-  // cum[k]: idle in [0, timeline[k].start); cum.back(): idle in [0, 3H).
-  std::vector<sim::Time> cum(timeline.size() + 1, sim::Time::zero());
-  for (std::size_t k = 0; k < timeline.size(); ++k) {
-    cum[k + 1] = cum[k];
-    if (timeline[k].level == kIdleLevel) {
-      cum[k + 1] += timeline[k].end - timeline[k].start;
+  // Idle segments of [H, 2H + rest) as alternating start/end bounds.
+  // Any work-conserving order idles exactly when no released work is
+  // left, so a sweep of the total backlog over the releases of [0, 2H +
+  // rest) in time order yields the idle segments of the fixed-priority
+  // timeline without scheduling a single job. Consecutive idle segments
+  // are split by at least one release, so bounds strictly increase.
+  std::vector<sim::Time> bounds;
+  sim::Time idle_per_h = sim::Time::zero();
+  const auto idle = [&](sim::Time from, sim::Time to) {
+    from = std::max(from, h);
+    if (from >= to) return;
+    bounds.push_back(from);
+    bounds.push_back(to);
+    if (from < hi) idle_per_h += std::min(to, hi) - from;
+  };
+  const auto& tasks = set.tasks();
+  using Release = std::pair<sim::Time, std::size_t>;  // (at, task index)
+  std::priority_queue<Release, std::vector<Release>, std::greater<>> releases;
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    if (tasks[i].offset < end) releases.emplace(tasks[i].offset, i);
+  }
+  sim::Time now = sim::Time::zero();
+  sim::Time backlog = sim::Time::zero();
+  while (!releases.empty()) {
+    const auto [at, i] = releases.top();
+    releases.pop();
+    if (now + backlog < at) {
+      idle(now + backlog, at);
+      backlog = sim::Time::zero();
+    } else {
+      backlog -= at - now;
+    }
+    now = at;
+    backlog += tasks[i].wcet;
+    if (at + tasks[i].period < end) {
+      releases.emplace(at + tasks[i].period, i);
     }
   }
-  // Cumulative idle at t in [0, 3H].
-  const auto cum_folded = [&](sim::Time t) {
-    if (t <= sim::Time::zero()) return sim::Time::zero();
-    if (t >= end) return cum.back();
-    const auto it = std::upper_bound(
-        timeline.begin(), timeline.end(), t,
-        [](sim::Time v, const TimelineSegment& seg) { return v < seg.start; });
-    const std::size_t k =
-        static_cast<std::size_t>(std::distance(timeline.begin(), it)) - 1;
-    sim::Time c = cum[k];
-    if (timeline[k].level == kIdleLevel) c += t - timeline[k].start;
-    return c;
-  };
-  const sim::Time idle_per_h = cum_folded(hi) - cum_folded(h);
-  // Beyond 2H: the folded point plus one steady-state hyperperiod's
-  // idle per whole wrap.
-  const auto cumulative = [&](sim::Time t) {
-    if (t <= hi) return cum_folded(t);
-    const sim::Time folded = h + ((t - h) % h);
-    return cum_folded(folded) + idle_per_h * ((t - folded) / h);
-  };
+  idle(now + backlog, end);
+  if (rest == sim::Time::zero()) return idle_per_h * wraps;
 
-  // g(a) = idle in [a, a+window) is piecewise linear in a with slopes
-  // in {-1, 0, 1}; its minima sit where either end of the window meets
-  // a segment boundary. g is H-periodic over the steady state, so
-  // folding the trailing-edge candidates into [H, 2H) loses nothing.
-  sim::Time best = sim::Time::max();
-  const auto consider = [&](sim::Time a) {
-    if (a < h) a += h * ((h - a) / h + 1);
-    a = h + ((a - h) % h);
-    best = std::min(best, cumulative(a + window) - cumulative(a));
-  };
-  for (const TimelineSegment& seg : timeline) {
-    for (const sim::Time b : {seg.start, seg.end}) {
-      if (b < h || b >= end) continue;
-      consider(b);
-      consider(b - window);
-    }
+  // g(a) = idle in [a, a + rest) is piecewise linear in a with slope
+  // +1 while the leading edge a + rest is idle and -1 while the
+  // trailing edge a is; its minimum over [H, 2H] sits where either edge
+  // meets a bound. Sweep both edges across the bounds once. `trail` and
+  // `lead` count the bounds at or before each edge, so an odd count
+  // means that edge is inside an idle segment.
+  sim::Time g = sim::Time::zero();
+  for (std::size_t k = 0; k < bounds.size(); k += 2) {
+    g += std::max(sim::Time::zero(),
+                  std::min(bounds[k + 1], h + rest) - bounds[k]);
   }
-  consider(h);
-  return best;
+  const auto passed = [&](sim::Time edge) {
+    return static_cast<std::size_t>(
+        std::upper_bound(bounds.begin(), bounds.end(), edge) -
+        bounds.begin());
+  };
+  std::size_t trail = passed(h);
+  std::size_t lead = passed(h + rest);
+  sim::Time best = g;
+  for (sim::Time a = h; a < hi;) {
+    const sim::Time next_trail =
+        trail < bounds.size() ? bounds[trail] : sim::Time::max();
+    const sim::Time next_lead =
+        lead < bounds.size() ? bounds[lead] - rest : sim::Time::max();
+    const sim::Time next = std::min({next_trail, next_lead, hi});
+    const std::int64_t slope = static_cast<std::int64_t>(lead % 2) -
+                               static_cast<std::int64_t>(trail % 2);
+    g += (next - a) * slope;
+    a = next;
+    best = std::min(best, g);
+    if (next_trail == a) ++trail;
+    if (next_lead == a) ++lead;
+  }
+  return idle_per_h * wraps + best;
 }
 
 }  // namespace coeff::sched

@@ -5,8 +5,9 @@
 // executed at a priority above every task, which is how slack stealing
 // injects transmissions. The result carries per-job finish times and
 // the execution timeline, from which SlackTable derives the level-i
-// idle curves of §III-B/§III-F, min_idle_in_window reads the analytic
-// verifier's guaranteed service, and tests obtain an exact oracle.
+// idle curves of §III-B/§III-F and tests obtain an exact oracle.
+// min_idle_in_window, the analytic verifier's guaranteed service, needs
+// only the idle pattern and sweeps the release backlog instead.
 #pragma once
 
 #include <cstdint>
@@ -66,12 +67,13 @@ struct ScheduleResult {
     const std::vector<InsertedBlock>& inserted = {});
 
 /// Guaranteed full-schedule idle (no task runs) inside ANY window of
-/// length `window`: min over start instants a of idle in [a, a+window)
-/// of the periodic schedule, extended periodically past its first
-/// hyperperiods. The lower bound on the service a backlogged
-/// top-priority stealer receives per `window` of waiting. `window` when
-/// the set is empty, 0 when `window` is not positive. Throws what
-/// validate() and hyperperiod() throw.
+/// length `window`: min over start instants a >= H of idle in
+/// [a, a+window) of the periodic schedule, whose idle pattern repeats
+/// every hyperperiod H from H on. The lower bound on the service a
+/// backlogged top-priority stealer receives per `window` of waiting.
+/// `window` when the set is empty, 0 when `window` is not positive.
+/// O(releases in [0, 2H + window mod H) * log tasks); keeps no job
+/// records. Throws what validate() and hyperperiod() throw.
 [[nodiscard]] sim::Time min_idle_in_window(const TaskSet& set,
                                            sim::Time window);
 

@@ -171,11 +171,28 @@ TEST(PeriodicScheduleTest, MinIdleInWindowEdgeCases) {
 }
 
 // Oracle: every integer start in the steady-state hyperperiod [H, 2H),
-// measured directly on a three-hyperperiod schedule. All parameters are
-// whole milliseconds, so every breakpoint of the window idle is too.
+// measured directly on a schedule that covers the last window. All
+// parameters are whole milliseconds, so every breakpoint of the window
+// idle is too.
+sim::Time brute_min_idle(const TaskSet& set, sim::Time w) {
+  const sim::Time h = set.hyperperiod();
+  const auto schedule = simulate_periodic(set, h * 2 + w);
+  sim::Time best = sim::Time::max();
+  for (sim::Time a = h; a < h * 2; a += sim::millis(1)) {
+    best = std::min(best, schedule.level_idle(set.size() - 1, a, a + w));
+  }
+  return best;
+}
+
+// Windows shorter than, longer than and a whole multiple of H, and sets
+// where a task with period H starts at offset H (releasing nothing in
+// the transient hyperperiod).
 TEST(PeriodicScheduleTest, MinIdleInWindowMatchesBruteForce) {
   sim::Rng rng(7);
   int checked = 0;
+  int longer = 0;
+  int multiple = 0;
+  int offset_h = 0;
   for (int trial = 0; trial < 40; ++trial) {
     std::vector<PeriodicTask> tasks;
     const int n = static_cast<int>(rng.uniform_int(1, 5));
@@ -193,17 +210,40 @@ TEST(PeriodicScheduleTest, MinIdleInWindowMatchesBruteForce) {
     for (const std::int64_t w_ms : {1, 5, 10, 25}) {
       const sim::Time w = sim::millis(w_ms);
       if (w > h) continue;
-      sim::Time expected = sim::Time::max();
-      for (sim::Time a = h; a < h * 2; a += sim::millis(1)) {
-        expected = std::min(expected,
-                            schedule.level_idle(set.size() - 1, a, a + w));
-      }
-      EXPECT_EQ(min_idle_in_window(set, w), expected)
+      EXPECT_EQ(min_idle_in_window(set, w), brute_min_idle(set, w))
           << "trial=" << trial << " window=" << w_ms << "ms";
       ++checked;
     }
+    for (const sim::Time w : {h + sim::millis(7), h * 2 + sim::millis(3)}) {
+      EXPECT_EQ(min_idle_in_window(set, w), brute_min_idle(set, w))
+          << "trial=" << trial << " window=" << w.ns() << "ns";
+      ++longer;
+    }
+    for (const std::int64_t k : {1, 2, 3}) {
+      EXPECT_EQ(min_idle_in_window(set, h * k), brute_min_idle(set, h * k))
+          << "trial=" << trial << " window=" << k << "H";
+      ++multiple;
+    }
+    std::vector<PeriodicTask> late = tasks;
+    bool moved = false;
+    for (PeriodicTask& t : late) {
+      if (t.period != h) continue;
+      t.offset = h;
+      moved = true;
+    }
+    if (!moved) continue;
+    const TaskSet late_set(late);
+    for (const sim::Time w :
+         {sim::millis(5), sim::millis(25), h, h + sim::millis(3)}) {
+      EXPECT_EQ(min_idle_in_window(late_set, w), brute_min_idle(late_set, w))
+          << "trial=" << trial << " offset=H window=" << w.ns() << "ns";
+      ++offset_h;
+    }
   }
   EXPECT_GT(checked, 40);
+  EXPECT_GT(longer, 20);
+  EXPECT_GT(multiple, 30);
+  EXPECT_GT(offset_h, 10);
 }
 
 }  // namespace

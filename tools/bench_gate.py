@@ -20,7 +20,10 @@ slower than the interpreted one).
 Flake resistance: the workload window is fixed (the cycle count per
 run is deterministic and verified identical across engines by
 micro_cycle itself), each cell is the median of N repetitions, and the
-gate compares medians-of-medians, never single runs.
+gate compares medians-of-medians, never single runs. micro_cycle
+alternates the two engines rep by rep, so a slow spell on a shared
+host lands on both sides of a ratio rather than on one engine's block
+of repetitions.
 
 Usage:
   tools/bench_gate.py --bench build/bench/micro_cycle \

@@ -13,14 +13,10 @@
 //            --window-ms 1000 --seed 7
 //   coeffctl lint --workload apps --sil 3
 //   coeffctl lint --statics my_matrix.csv --trace --sarif report.sarif
-#include <cctype>
-#include <cerrno>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <limits>
 #include <optional>
 #include <string>
 #include <type_traits>
@@ -43,6 +39,7 @@
 #include "net/workloads.hpp"
 #include "sched/criticality.hpp"
 #include "sched/schedule_table.hpp"
+#include "sim/parse_number.hpp"
 #include "sim/trace.hpp"
 
 namespace {
@@ -206,49 +203,21 @@ void usage_hint() {
 /// Parse a `--seed` value: all of it, unsigned decimal, no sign. A
 /// seed is a repro handle, so saturating or defaulting would lose it.
 bool parse_seed(const char* text, std::uint64_t& seed) {
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(text, &end, 10);
-  if (!std::isdigit(static_cast<unsigned char>(text[0])) || errno != 0 ||
-      *end != '\0') {
+  const auto value = sim::parse_number<std::uint64_t>(text);
+  if (!value.has_value()) {
     std::fprintf(stderr, "coeffctl: bad --seed '%s' (want 0..2^64-1)\n",
                  text);
     return false;
   }
-  seed = value;
+  seed = *value;
   return true;
 }
 
-/// Parse a numeric flag value: all of it, decimal, in range of T (and
-/// finite for floating point). A stray character is a usage error, not
-/// a silent 0 or a truncated number.
-template <typename T>
-std::optional<T> parse_number(const char* text) {
-  if (text[0] == '\0' || std::isspace(static_cast<unsigned char>(text[0]))) {
-    return std::nullopt;
-  }
-  errno = 0;
-  char* end = nullptr;
-  if constexpr (std::is_floating_point_v<T>) {
-    const double value = std::strtod(text, &end);
-    if (*end != '\0' || !std::isfinite(value)) return std::nullopt;
-    return static_cast<T>(value);
-  } else {
-    const long long value = std::strtoll(text, &end, 10);
-    if (errno != 0 || *end != '\0' ||
-        value < std::numeric_limits<T>::min() ||
-        value > std::numeric_limits<T>::max()) {
-      return std::nullopt;
-    }
-    return static_cast<T>(value);
-  }
-}
-
 /// The value of numeric flag `flag`; exits 2 with the usage hint when
-/// parse_number rejects it.
+/// sim::parse_number rejects it.
 template <typename T>
 T number_flag(const char* flag, const char* text) {
-  const auto value = parse_number<T>(text);
+  const auto value = sim::parse_number<T>(text);
   if (!value.has_value()) {
     std::fprintf(stderr, "coeffctl: bad %s value '%s'\n", flag, text);
     usage_hint();
@@ -327,7 +296,7 @@ std::optional<flexray::ChannelId> parse_channel(const std::string& name) {
 template <typename T>
 T spec_number(const char* flag, const std::string& spec,
               const std::string& field) {
-  const auto value = parse_number<T>(field.c_str());
+  const auto value = sim::parse_number<T>(field.c_str());
   if (!value.has_value()) bad_spec(flag, spec);
   return *value;
 }
