@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -161,7 +162,14 @@ inline BenchOptions parse_bench_args(int argc, char** argv) {
 inline core::SweepReport run_sweep(const std::string& suite,
                                    const std::vector<core::SweepCell>& cells,
                                    const BenchOptions& opt) {
-  const core::SweepRunner runner(opt.jobs);
+  int jobs = 0;
+  try {
+    jobs = core::SweepRunner::resolve_jobs(opt.jobs);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s: %s\n", suite.c_str(), e.what());
+    std::exit(2);  // a usage error, like a bad --jobs value
+  }
+  const core::SweepRunner runner(jobs);
   core::SweepReport report = runner.run(cells);
   if (!opt.sweep_json.empty()) {
     // A bad report path must not discard a finished sweep: warn and

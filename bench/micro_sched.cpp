@@ -5,7 +5,9 @@
 
 #include "analysis/pmf.hpp"
 #include "campaign/scenario.hpp"
+#include "core/coefficient.hpp"
 #include "core/experiment.hpp"
+#include "core/instance.hpp"
 #include "fault/reliability.hpp"
 #include "net/workloads.hpp"
 #include "sched/periodic_schedule.hpp"
@@ -206,6 +208,55 @@ void BM_MinIdleInWindow(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MinIdleInWindow)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+// Instance-slab churn in the shape of one loaded cycle: one release per
+// message (180 messages, as statics + dynamics of the loaded config),
+// k handle lookups per live instance (outcome accounting, CHI overwrite
+// checks), then the settlement sweep. Arg: k.
+void BM_InstanceChurn(benchmark::State& state) {
+  constexpr std::size_t kMessages = 180;
+  std::vector<int> ids(kMessages);
+  for (std::size_t p = 0; p < kMessages; ++p) ids[p] = static_cast<int>(p) + 1;
+  core::InstanceStore store(ids);
+  std::vector<std::uint64_t> keys(kMessages);
+  const std::int64_t finds = state.range(0);
+  std::int64_t index = 0;
+  for (auto _ : state) {
+    for (std::size_t p = 0; p < kMessages; ++p) {
+      keys[p] = store.create(p, index).key;
+    }
+    for (std::int64_t j = 0; j < finds; ++j) {
+      for (const std::uint64_t key : keys) ++store.find(key)->copies_sent;
+    }
+    store.settle_if([](const core::Instance& inst) {
+      return inst.copies_sent > 0;
+    });
+    ++index;
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kMessages));
+}
+BENCHMARK(BM_InstanceChurn)->Arg(1)->Arg(4);
+
+// The static release path of one 5 ms cycle of a 100-message synthetic
+// set on the loaded cluster: release what falls due (slab create, CHI
+// buffer overwrite check and write), then the sweep. No wire walk: an
+// unsent value is cancelled when the next release overwrites it and
+// settles at its deadline, so the live set stays bounded.
+void BM_StaticRelease(benchmark::State& state) {
+  const flexray::ClusterConfig cluster = core::paper_cluster_dynamic_suite(50);
+  core::CoEfficientScheduler sched(cluster, make_statics(100), {},
+                                   sim::seconds(1'000'000),
+                                   core::CoEfficientOptions{});
+  const sim::Time cycle = cluster.cycle_duration();
+  std::int64_t c = 0;
+  for (auto _ : state) {
+    sched.on_cycle_start(units::CycleIndex{c}, cycle * c);
+    ++c;
+  }
+  state.SetItemsProcessed(sched.stats().statics.released);
+}
+BENCHMARK(BM_StaticRelease);
 
 }  // namespace
 

@@ -113,13 +113,13 @@ void CoEfficientScheduler::rebuild_plan(double ber, bool throw_on_infeasible) {
 void CoEfficientScheduler::on_static_release(Instance& inst,
                                              const net::Message& m) {
   add_copies(inst, 1);  // the primary
-  const sched::SlotAssignment* a = table_.assignment_of(m.id);
+  const sched::SlotAssignment* a = assignment_for(m);
   if (a != nullptr) {
     auto& buffers =
         nodes_.at(static_cast<std::size_t>(m.node)).static_buffers();
     // An unsent previous value would be silently overwritten (FlexRay
     // static buffers hold the latest value); release its owed copy.
-    if (auto old = buffers.read(a->slot); old.has_value()) {
+    if (const flexray::PendingMessage* old = buffers.read(a->slot)) {
       if (Instance* prev = instances_.find(old->instance)) {
         cancel_copies(*prev, 1);
       }
@@ -458,15 +458,15 @@ void CoEfficientScheduler::decide_static_chunk(
               cfg_.static_slot_duration() * (s - 1);
           auto& buffers =
               nodes_.at(static_cast<std::size_t>(m->node)).static_buffers();
-          const auto pending = buffers.read(slot);
-          if (pending.has_value() && pending->release <= slot_start) {
-            buffers.clear(slot);
+          const flexray::PendingMessage* pending = buffers.read(slot);
+          if (pending != nullptr && pending->release <= slot_start) {
             flexray::TxRequest req;
             req.instance = pending->instance;
             req.frame_id = units::to_frame_id(slot);
             req.sender = units::NodeId{m->node};
             req.payload_bits = pending->payload_bits;
             req.failover = primary_ch == flexray::ChannelId::kB;
+            buffers.clear(slot);
             sink.stage(slot, primary_ch, req);
           }
         }
@@ -514,17 +514,17 @@ std::optional<flexray::TxRequest> CoEfficientScheduler::decide_static(
       if (primary_here) {
         auto& buffers =
             nodes_.at(static_cast<std::size_t>(m->node)).static_buffers();
-        const auto pending = buffers.read(slot);
-        if (!pending.has_value() || pending->release > slot_start) {
+        const flexray::PendingMessage* pending = buffers.read(slot);
+        if (pending == nullptr || pending->release > slot_start) {
           return std::nullopt;
         }
-        buffers.clear(slot);
         flexray::TxRequest req;
         req.instance = pending->instance;
         req.frame_id = units::to_frame_id(slot);
         req.sender = units::NodeId{m->node};
         req.payload_bits = pending->payload_bits;
         req.failover = channel == flexray::ChannelId::kB;
+        buffers.clear(slot);
         return req;
       }
       if (channel == flexray::ChannelId::kA) {

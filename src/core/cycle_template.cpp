@@ -26,7 +26,6 @@ void CycleTemplate::rebuild(const sched::StaticScheduleTable& table,
   }
   const auto cells = static_cast<std::size_t>(n);
   message_.assign(cells, nullptr);
-  message_id_.assign(cells, -1);
   node_.assign(cells, -1);
   payload_bits_.assign(cells, 0);
   budget_.assign(cells, 0);
@@ -54,7 +53,6 @@ void CycleTemplate::rebuild(const sched::StaticScheduleTable& table,
       if (m == nullptr) continue;
       const std::size_t i = index(id, units::CycleIndex{row});
       message_[i] = m;
-      message_id_[i] = m->id;
       node_[i] = m->node;
       payload_bits_[i] = m->size_bits;
       const sched::SlotAssignment* a = table.assignment_of(*occupant);

@@ -78,12 +78,6 @@ class CycleTemplate {
     const std::size_t i = index(slot, cycle);
     return cycle.value() >= first_cycle_[i] ? message_[i] : nullptr;
   }
-  /// Message id at (slot, cycle), or -1 when idle.
-  [[nodiscard]] int message_id_at(units::SlotId slot,
-                                  units::CycleIndex cycle) const {
-    const std::size_t i = index(slot, cycle);
-    return cycle.value() >= first_cycle_[i] ? message_id_[i] : -1;
-  }
   /// Owning node at (slot, cycle), or -1 when idle.
   [[nodiscard]] std::int32_t node_at(units::SlotId slot,
                                      units::CycleIndex cycle) const {
@@ -129,7 +123,6 @@ class CycleTemplate {
   std::vector<std::size_t> slot_begin_;
   std::vector<std::int64_t> slot_period_;
   std::vector<const net::Message*> message_;
-  std::vector<int> message_id_;
   std::vector<std::int32_t> node_;
   std::vector<std::int64_t> payload_bits_;
   std::vector<std::int32_t> budget_;

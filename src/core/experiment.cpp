@@ -160,6 +160,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
           .count();
   result.drained = !sched->work_remaining();
   sched->finalize(cluster.now());
+  result.instance_capacity = sched->instances().capacity();
 
   RunStats& stats = sched->stats();
   stats.running_time = sched->last_activity();

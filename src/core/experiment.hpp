@@ -134,6 +134,9 @@ struct ExperimentResult {
   /// bench/micro_cycle reports.
   double walk_seconds = 0.0;
   bool drained = true;           ///< false if the drain cap was hit
+  /// Instance-slab cells allocated by the end of the run (its high
+  /// water: rings never shrink).
+  std::size_t instance_capacity = 0;
 };
 
 [[nodiscard]] ExperimentResult run_experiment(const ExperimentConfig& config,

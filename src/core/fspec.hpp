@@ -25,8 +25,9 @@
 #pragma once
 
 #include <optional>
-#include <unordered_map>
+#include <vector>
 
+#include "core/dynamic_mirror.hpp"
 #include "core/scheduler_base.hpp"
 
 namespace coeff::core {
@@ -92,10 +93,9 @@ class FspecScheduler : public SchedulerBase {
   };
 
   FspecOptions options_;
-  std::unordered_map<int, RoundState> round_state_;  ///< by message id
-  /// Channel-B mirror staging for the dynamic segment: what channel A
-  /// sent this cycle per dynamic slot counter.
-  std::unordered_map<units::SlotId, flexray::TxRequest> dynamic_mirror_;
+  std::vector<RoundState> round_state_;  ///< by static position
+  /// Channel-B mirror staging for the dynamic segment.
+  DynamicMirror dynamic_mirror_;
 };
 
 }  // namespace coeff::core

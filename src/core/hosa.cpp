@@ -6,14 +6,15 @@ HosaScheduler::HosaScheduler(const flexray::ClusterConfig& cfg,
                              net::MessageSet statics,
                              net::MessageSet dynamics, sim::Time batch_window)
     : SchedulerBase(cfg, std::move(statics), std::move(dynamics),
-                    batch_window) {}
+                    batch_window),
+      dynamic_mirror_(dynamic_frame_lut_.size()) {}
 
 void HosaScheduler::on_static_release(Instance& inst, const net::Message& m) {
-  const sched::SlotAssignment* a = table_.assignment_of(m.id);
+  const sched::SlotAssignment* a = assignment_for(m);
   if (a == nullptr) return;  // unplaced: miss at the deadline
   add_copies(inst, 2);       // one mirrored pair per instance
   auto& buffers = nodes_.at(static_cast<std::size_t>(m.node)).static_buffers();
-  if (auto old = buffers.read(a->slot); old.has_value()) {
+  if (const flexray::PendingMessage* old = buffers.read(a->slot)) {
     if (Instance* prev = instances_.find(old->instance)) {
       cancel_copies(*prev, prev->copies_required - prev->copies_sent);
     }
@@ -35,12 +36,12 @@ void HosaScheduler::on_dynamic_release(Instance& inst, const net::Message& m,
 
 void HosaScheduler::on_cycle_start_hook(units::CycleIndex /*cycle*/,
                                         sim::Time /*at*/) {
-  for (const auto& [_, req] : dynamic_mirror_) {
+  dynamic_mirror_.erase_if([this](const flexray::TxRequest& req) {
     if (Instance* inst = instances_.find(req.instance)) {
       cancel_copies(*inst, 1);
     }
-  }
-  dynamic_mirror_.clear();
+    return true;
+  });
 }
 
 std::optional<flexray::TxRequest> HosaScheduler::static_slot(
@@ -50,8 +51,8 @@ std::optional<flexray::TxRequest> HosaScheduler::static_slot(
   auto& buffers = nodes_.at(static_cast<std::size_t>(m->node)).static_buffers();
   const sim::Time slot_start = cycle_duration_ * cycle.value() +
                                cfg_.static_slot_duration() * (slot.value() - 1);
-  const auto pending = buffers.read(slot);
-  if (!pending.has_value() || pending->release > slot_start) {
+  const flexray::PendingMessage* pending = buffers.read(slot);
+  if (pending == nullptr || pending->release > slot_start) {
     return std::nullopt;
   }
   flexray::TxRequest req;
@@ -86,8 +87,8 @@ void HosaScheduler::decide_static_chunk(
     if (m == nullptr) continue;
     auto& buffers =
         nodes_[static_cast<std::size_t>(m->node)].static_buffers();
-    const auto pending = buffers.read(slot);
-    if (!pending.has_value() || pending->release > slot_start) continue;
+    const flexray::PendingMessage* pending = buffers.read(slot);
+    if (pending == nullptr || pending->release > slot_start) continue;
     flexray::TxRequest req;
     req.instance = pending->instance;
     req.frame_id = units::to_frame_id(slot);
@@ -106,11 +107,8 @@ std::optional<flexray::TxRequest> HosaScheduler::dynamic_slot(
     units::SlotId slot_counter, units::MinislotId minislot,
     std::int64_t minislots_remaining) {
   if (channel == flexray::ChannelId::kB) {
-    auto it = dynamic_mirror_.find(slot_counter);
-    if (it == dynamic_mirror_.end()) return std::nullopt;
-    flexray::TxRequest req = it->second;
-    req.retransmission = true;
-    dynamic_mirror_.erase(it);
+    auto req = dynamic_mirror_.take(slot_counter);
+    if (req.has_value()) req->retransmission = true;
     return req;
   }
   const net::Message* m =
@@ -133,19 +131,14 @@ std::optional<flexray::TxRequest> HosaScheduler::dynamic_slot(
   req.frame_id = units::to_frame_id(slot_counter);
   req.sender = units::NodeId{m->node};
   req.payload_bits = pending->payload_bits;
-  dynamic_mirror_[slot_counter] = req;
+  dynamic_mirror_.stage(slot_counter, req);
   return req;
 }
 
 std::int64_t HosaScheduler::dynamic_next_frame(flexray::ChannelId channel,
                                                std::int64_t min_frame) const {
   if (channel == flexray::ChannelId::kB) {
-    std::int64_t best = flexray::kNoDynamicFrame;
-    for (const auto& [slot_counter, _] : dynamic_mirror_) {
-      const std::int64_t frame = slot_counter.value();
-      if (frame >= min_frame && frame < best) best = frame;
-    }
-    return best;
+    return dynamic_mirror_.next_frame(min_frame);
   }
   return queued_dynamic_next_frame(min_frame);
 }
@@ -153,13 +146,9 @@ std::int64_t HosaScheduler::dynamic_next_frame(flexray::ChannelId channel,
 void HosaScheduler::on_node_down(units::NodeId /*node*/,
                                  units::CycleIndex /*cycle*/,
                                  sim::Time /*at*/) {
-  for (auto it = dynamic_mirror_.begin(); it != dynamic_mirror_.end();) {
-    if (instances_.find(it->second.instance) == nullptr) {
-      it = dynamic_mirror_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  dynamic_mirror_.erase_if([this](const flexray::TxRequest& req) {
+    return instances_.find(req.instance) == nullptr;
+  });
 }
 
 void HosaScheduler::on_tx_complete(const flexray::TxOutcome& outcome) {

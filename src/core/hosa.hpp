@@ -10,8 +10,8 @@
 #pragma once
 
 #include <optional>
-#include <unordered_map>
 
+#include "core/dynamic_mirror.hpp"
 #include "core/scheduler_base.hpp"
 
 namespace coeff::core {
@@ -51,7 +51,7 @@ class HosaScheduler : public SchedulerBase {
 
  private:
   /// Channel-B mirror staging for the dynamic segment.
-  std::unordered_map<units::SlotId, flexray::TxRequest> dynamic_mirror_;
+  DynamicMirror dynamic_mirror_;
 };
 
 }  // namespace coeff::core

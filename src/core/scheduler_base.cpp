@@ -1,5 +1,6 @@
 #include "core/scheduler_base.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 
@@ -28,15 +29,23 @@ SchedulerBase::SchedulerBase(const flexray::ClusterConfig& cfg,
   for (int i = 0; i < cfg_.num_nodes; ++i) {
     nodes_.emplace_back(units::NodeId{i}, "ecu" + std::to_string(i));
   }
-  for (const auto& a : table_.assignments()) {
-    // Assignments for ids not in the base set (e.g. FSPEC's redundant
-    // clones) are registered by the subclass, which knows the mapping.
-    const net::Message* m = statics_.find(a.message_id);
-    if (m == nullptr) continue;
-    nodes_.at(static_cast<std::size_t>(m->node)).static_buffers().add_slot(
-        a.slot);
+  // Slab positions: statics [0, S), dynamics [S, S + D). Everything
+  // the per-cycle paths key by message is resolved to a position here.
+  std::vector<int> ids;
+  ids.reserve(statics_.size() + dynamics_.size());
+  for (const auto& m : statics_.messages()) {
+    ids.push_back(m.id);
+    const sched::SlotAssignment* a = table_.assignment_of(m.id);
+    static_assignment_.push_back(a);
+    if (a != nullptr) {
+      nodes_.at(static_cast<std::size_t>(m.node)).static_buffers().add_slot(
+          a->slot);
+    }
   }
+  std::unordered_map<int, const net::Message*> dynamic_by_frame_id;
   for (const auto& m : dynamics_.messages()) {
+    dynamic_by_id_.emplace_back(m.id, ids.size());
+    ids.push_back(m.id);
     if (m.frame_id <= cfg_.g_number_of_static_slots) {
       throw std::invalid_argument(
           "SchedulerBase: dynamic message " + std::to_string(m.id) +
@@ -45,7 +54,7 @@ SchedulerBase::SchedulerBase(const flexray::ClusterConfig& cfg,
     // Two or more messages may share a dynamic frame id (§II-B) as long
     // as one node owns the id: the node's priority queue decides which
     // goes out in the current cycle.
-    auto [it, inserted] = dynamic_by_frame_id_.emplace(m.frame_id, &m);
+    auto [it, inserted] = dynamic_by_frame_id.emplace(m.frame_id, &m);
     if (!inserted && it->second->node != m.node) {
       throw std::invalid_argument(
           "SchedulerBase: dynamic frame id " + std::to_string(m.frame_id) +
@@ -57,17 +66,19 @@ SchedulerBase::SchedulerBase(const flexray::ClusterConfig& cfg,
               flexray::FrameId{static_cast<std::uint16_t>(m.frame_id)});
     }
   }
-  for (const auto& m : statics_.messages()) next_static_index_[m.id] = 0;
+  std::sort(dynamic_by_id_.begin(), dynamic_by_id_.end());
+  instances_ = InstanceStore(ids);
+  next_index_.assign(ids.size(), 0);
   node_down_.assign(static_cast<std::size_t>(cfg_.num_nodes), 0);
 
   // Flatten the frame-id → message map for the FTDMA hot path.
   int max_frame_id = 0;
-  for (const auto& [frame_id, _] : dynamic_by_frame_id_) {
+  for (const auto& [frame_id, _] : dynamic_by_frame_id) {
     if (frame_id > max_frame_id) max_frame_id = frame_id;
   }
   dynamic_frame_lut_.assign(static_cast<std::size_t>(max_frame_id) + 1,
                             nullptr);
-  for (const auto& [frame_id, m] : dynamic_by_frame_id_) {
+  for (const auto& [frame_id, m] : dynamic_by_frame_id) {
     dynamic_frame_lut_[static_cast<std::size_t>(frame_id)] = m;
   }
 
@@ -113,15 +124,14 @@ int SchedulerBase::channels_available() const {
 }
 
 void SchedulerBase::settle_source_loss(int node) {
-  for (const std::uint64_t key : instances_.keys()) {
-    Instance* inst = instances_.find(key);
-    if (inst == nullptr || inst->node != node) continue;
-    cancel_copies(*inst, inst->copies_required - inst->copies_sent);
-    if (!inst->delivered && !inst->miss_recorded) {
-      ++segment(inst->kind).source_lost;
+  instances_.settle_if([&](Instance& inst) {
+    if (inst.node != node) return false;
+    cancel_copies(inst, inst.copies_required - inst.copies_sent);
+    if (!inst.delivered && !inst.miss_recorded) {
+      ++segment(inst.kind).source_lost;
     }
-    instances_.erase(key);
-  }
+    return true;
+  });
 }
 
 void SchedulerBase::on_topology_event(const flexray::TopologyEvent& event,
@@ -200,8 +210,10 @@ void SchedulerBase::release_statics_until(sim::Time until) {
   // full scan over the static set.
   if (next_static_release_ >= cap) return;
   sim::Time next_min = sim::Time::max();
-  for (const auto& m : statics_.messages()) {
-    std::int64_t& next = next_static_index_[m.id];
+  const auto& msgs = statics_.messages();
+  for (std::size_t z = 0; z < msgs.size(); ++z) {
+    const net::Message& m = msgs[z];
+    std::int64_t& next = next_index_[z];
     while (true) {
       const sim::Time release = m.offset + m.period * next;
       if (release >= cap) {
@@ -218,7 +230,7 @@ void SchedulerBase::release_statics_until(sim::Time until) {
         ++next;
         continue;
       }
-      Instance& inst = instances_.create(m.id, next);
+      Instance& inst = instances_.create(z, next);
       inst.kind = net::MessageKind::kStatic;
       inst.node = m.node;
       inst.size_bits = m.size_bits;
@@ -234,19 +246,23 @@ void SchedulerBase::release_statics_until(sim::Time until) {
 }
 
 void SchedulerBase::add_dynamic_arrival(int message_id, sim::Time at) {
-  const net::Message* m = dynamics_.find(message_id);
-  if (m == nullptr) {
+  const auto it = std::lower_bound(
+      dynamic_by_id_.begin(), dynamic_by_id_.end(), message_id,
+      [](const std::pair<int, std::size_t>& e, int id) { return e.first < id; });
+  if (it == dynamic_by_id_.end() || it->first != message_id) {
     throw std::invalid_argument("add_dynamic_arrival: unknown message " +
                                 std::to_string(message_id));
   }
-  std::int64_t& next = next_dynamic_index_[message_id];
+  const std::size_t position = it->second;
+  const net::Message* m = &dynamics_.messages()[position - statics_.size()];
+  std::int64_t& next = next_index_[position];
   if (!node_alive(m->node)) {
     ++next;
     ++segment(net::MessageKind::kDynamic).released;
     ++segment(net::MessageKind::kDynamic).source_lost;
     return;
   }
-  Instance& inst = instances_.create(message_id, next++);
+  Instance& inst = instances_.create(position, next++);
   inst.kind = net::MessageKind::kDynamic;
   inst.node = m->node;
   inst.size_bits = m->size_bits;
@@ -294,8 +310,9 @@ void SchedulerBase::on_dynamic_declined(flexray::ChannelId /*channel*/,
   // Defensive: put the message back so it can retry in a later cycle.
   Instance* inst = instances_.find(request.instance);
   if (inst == nullptr) return;
-  const net::Message* m = dynamics_.find(inst->message_id);
-  if (m == nullptr) return;
+  const std::size_t position = InstanceStore::position_of(inst->key);
+  if (position < statics_.size()) return;
+  const net::Message* m = &dynamics_.messages()[position - statics_.size()];
   flexray::PendingMessage pending;
   pending.instance = inst->key;
   pending.frame_id = flexray::FrameId{static_cast<std::uint16_t>(m->frame_id)};
@@ -390,39 +407,31 @@ void SchedulerBase::sweep(sim::Time now) {
       }
     }
   }
-  // Direct iterate-and-erase: same traversal order as a keys() snapshot
-  // (erase never rehashes), without the snapshot vector and the
-  // per-key hash lookups.
-  for (auto it = instances_.begin(); it != instances_.end();) {
-    Instance& inst = it->second;
+  // Settlement order is the slab's (message id, release index) order,
+  // which fixes the order of same-timestamp kVoteResolved records.
+  instances_.settle_if([&](Instance& inst) {
     if (!inst.delivered && !inst.miss_recorded && inst.abs_deadline < now) {
       inst.miss_recorded = true;
       ++segment(inst.kind).missed;
       if (inst.vote_k > 0) settle_vote(inst, false, now);
     }
-    if (inst.copies_sent >= inst.copies_required &&
-        (inst.delivered || inst.miss_recorded)) {
-      it = instances_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+    return inst.copies_sent >= inst.copies_required &&
+           (inst.delivered || inst.miss_recorded);
+  });
 }
 
 void SchedulerBase::finalize(sim::Time now) {
   sweep(now);
-  for (const std::uint64_t key : instances_.keys()) {
-    Instance* inst = instances_.find(key);
-    if (inst == nullptr) continue;
-    if (!inst->delivered && !inst->miss_recorded) {
+  instances_.settle_if([&](Instance& inst) {
+    if (!inst.delivered && !inst.miss_recorded) {
       // Nothing more will be sent for the batch; an undelivered instance
       // is a miss even if its deadline is formally in the future.
-      inst->miss_recorded = true;
-      ++segment(inst->kind).missed;
-      if (inst->vote_k > 0) settle_vote(*inst, false, now);
+      inst.miss_recorded = true;
+      ++segment(inst.kind).missed;
+      if (inst.vote_k > 0) settle_vote(inst, false, now);
     }
-    instances_.erase(key);
-  }
+    return true;
+  });
 }
 
 }  // namespace coeff::core

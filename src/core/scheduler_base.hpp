@@ -8,6 +8,7 @@
 #include <memory>
 #include <optional>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/cycle_template.hpp"
@@ -70,6 +71,8 @@ class SchedulerBase : public flexray::TransmissionPolicy {
   [[nodiscard]] const net::MessageSet& dynamic_messages() const {
     return dynamics_;
   }
+  /// The instance slab (live instances and its high-water capacity).
+  [[nodiscard]] const InstanceStore& instances() const { return instances_; }
 
   /// The compiled (table × plan) lookup the hot paths read from.
   [[nodiscard]] const CycleTemplate& cycle_template() const { return tpl_; }
@@ -144,6 +147,18 @@ class SchedulerBase : public flexray::TransmissionPolicy {
                                              : stats_.dynamics;
   }
 
+  /// Slab position of a static message (an element of statics_):
+  /// statics occupy positions [0, statics_.size()), dynamics follow.
+  [[nodiscard]] std::size_t static_position(const net::Message& m) const {
+    return static_cast<std::size_t>(&m - statics_.messages().data());
+  }
+  /// The table placement of a static message (an element of statics_),
+  /// or nullptr when it is unplaced. Resolved once at construction.
+  [[nodiscard]] const sched::SlotAssignment* assignment_for(
+      const net::Message& m) const {
+    return static_assignment_[static_position(m)];
+  }
+
   /// The node that owns a dynamic frame id, or nullptr. Flat-array
   /// lookup (built once: the dynamic set never changes at runtime).
   [[nodiscard]] const net::Message* dynamic_message_for_frame(
@@ -185,9 +200,6 @@ class SchedulerBase : public flexray::TransmissionPolicy {
   std::vector<flexray::Node> nodes_;
   CycleTemplate tpl_;
   std::vector<const net::Message*> dynamic_frame_lut_;  ///< by frame id
-  std::unordered_map<int, const net::Message*> dynamic_by_frame_id_;
-  std::unordered_map<int, std::int64_t> next_static_index_;
-  std::unordered_map<int, std::int64_t> next_dynamic_index_;
   std::int64_t owed_copies_ = 0;
   sim::Time last_activity_;
   bool drop_expired_dynamics_ = true;
@@ -198,6 +210,13 @@ class SchedulerBase : public flexray::TransmissionPolicy {
 
  private:
   bool tpl_announced_ = false;  ///< initial kTemplateRebuild emitted
+  /// Next release index by slab position (statics, then dynamics).
+  std::vector<std::int64_t> next_index_;
+  /// Table placement by static position (nullptr = unplaced).
+  std::vector<const sched::SlotAssignment*> static_assignment_;
+  /// (message id, dynamic position) sorted by id: arrivals name their
+  /// message by id.
+  std::vector<std::pair<int, std::size_t>> dynamic_by_id_;
   /// Earliest not-yet-released static instance, maintained by
   /// release_statics_until so cycles with nothing due skip the full
   /// static scan. Starts at zero (= before any cap) so the first call

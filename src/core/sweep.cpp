@@ -9,9 +9,11 @@
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "runtime/thread_pool.hpp"
+#include "sim/parse_number.hpp"
 
 namespace coeff::core {
 
@@ -30,8 +32,13 @@ SweepRunner::SweepRunner(int jobs) : jobs_(resolve_jobs(jobs)) {}
 int SweepRunner::resolve_jobs(int requested) {
   if (requested > 0) return requested;
   if (const char* env = std::getenv("COEFF_JOBS")) {
-    const int n = std::atoi(env);
-    if (n > 0) return n;
+    // Parsed whole, like --jobs: "2x" is an error, not 2 workers.
+    const auto n = sim::parse_number<int>(env);
+    if (!n.has_value()) {
+      throw std::invalid_argument(std::string("bad COEFF_JOBS value '") +
+                                  env + "'");
+    }
+    if (*n > 0) return *n;
   }
   return static_cast<int>(runtime::ThreadPool::hardware_threads());
 }

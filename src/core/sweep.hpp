@@ -66,6 +66,9 @@ class SweepRunner {
   [[nodiscard]] SweepReport run(const std::vector<SweepCell>& cells) const;
 
   /// Worker-count resolution: explicit request > COEFF_JOBS > hardware.
+  /// Throws std::invalid_argument when COEFF_JOBS is set but is not a
+  /// whole decimal number (sim::parse_number); a value <= 0 falls
+  /// through to the hardware count.
   [[nodiscard]] static int resolve_jobs(int requested);
 
  private:

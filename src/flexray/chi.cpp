@@ -6,61 +6,64 @@
 namespace coeff::flexray {
 
 void StaticBufferSet::add_slot(units::SlotId slot) {
-  buffers_.emplace(slot, std::nullopt);
+  if (slot.value() < 0) {
+    throw std::invalid_argument("StaticBufferSet::add_slot: negative slot");
+  }
+  const auto idx = static_cast<std::size_t>(slot.value());
+  if (idx >= buffers_.size()) buffers_.resize(idx + 1);
+  buffers_[idx].owned = true;
 }
 
 bool StaticBufferSet::owns(units::SlotId slot) const {
-  return buffers_.contains(slot);
+  const auto idx = static_cast<std::size_t>(slot.value());
+  return slot.value() >= 0 && idx < buffers_.size() && buffers_[idx].owned;
+}
+
+StaticBufferSet::Buffer* StaticBufferSet::owned_buffer(units::SlotId slot) {
+  return owns(slot) ? &buffers_[static_cast<std::size_t>(slot.value())]
+                    : nullptr;
 }
 
 bool StaticBufferSet::write(units::SlotId slot, PendingMessage msg) {
-  auto it = buffers_.find(slot);
-  if (it == buffers_.end()) {
+  Buffer* b = owned_buffer(slot);
+  if (b == nullptr) {
     throw std::invalid_argument("StaticBufferSet::write: slot not owned");
   }
-  const bool overwritten = it->second.has_value();
-  it->second = std::move(msg);
+  const bool overwritten = b->full;
+  b->msg = std::move(msg);
+  b->full = true;
   return overwritten;
 }
 
-std::optional<PendingMessage> StaticBufferSet::read(units::SlotId slot) const {
-  auto it = buffers_.find(slot);
-  if (it == buffers_.end()) return std::nullopt;
-  return it->second;
-}
-
 void StaticBufferSet::clear(units::SlotId slot) {
-  auto it = buffers_.find(slot);
-  if (it != buffers_.end()) it->second.reset();
+  if (Buffer* b = owned_buffer(slot)) b->full = false;
 }
 
 std::vector<units::SlotId> StaticBufferSet::owned_slots() const {
   std::vector<units::SlotId> slots;
-  slots.reserve(buffers_.size());
-  for (const auto& [slot, _] : buffers_) slots.push_back(slot);
-  std::sort(slots.begin(), slots.end());
+  for (std::size_t i = 0; i < buffers_.size(); ++i) {
+    if (buffers_[i].owned) {
+      slots.push_back(units::SlotId{static_cast<std::int64_t>(i)});
+    }
+  }
   return slots;
 }
 
 std::vector<PendingMessage> StaticBufferSet::clear_all() {
   std::vector<PendingMessage> dropped;
-  // Deterministic order: walk slots sorted, not hash order.
-  for (const units::SlotId slot : owned_slots()) {
-    auto& buf = buffers_.at(slot);
-    if (buf.has_value()) {
-      dropped.push_back(*buf);
-      buf.reset();
+  for (Buffer& b : buffers_) {  // ascending slot order
+    if (b.full) {
+      dropped.push_back(b.msg);
+      b.full = false;
     }
   }
   return dropped;
 }
 
 std::size_t StaticBufferSet::pending_count() const {
-  std::size_t n = 0;
-  for (const auto& [_, msg] : buffers_) {
-    if (msg.has_value()) ++n;
-  }
-  return n;
+  return static_cast<std::size_t>(
+      std::count_if(buffers_.begin(), buffers_.end(),
+                    [](const Buffer& b) { return b.full; }));
 }
 
 void DynamicQueue::push(PendingMessage msg) {

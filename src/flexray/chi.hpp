@@ -13,7 +13,6 @@
 #include <functional>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "flexray/frame.hpp"
@@ -33,7 +32,8 @@ struct PendingMessage {
   bool retransmission = false;
 };
 
-/// Single-message buffers, one per static slot owned by the node.
+/// Single-message buffers, one per static slot owned by the node, in a
+/// flat array indexed by slot id.
 class StaticBufferSet {
  public:
   /// Declare ownership of `slot`. Writing to an undeclared slot throws.
@@ -45,8 +45,14 @@ class StaticBufferSet {
   /// true if a previous, never-transmitted message was overwritten.
   bool write(units::SlotId slot, PendingMessage msg);
 
-  /// Controller side: peek the message for `slot`, if any.
-  [[nodiscard]] std::optional<PendingMessage> read(units::SlotId slot) const;
+  /// Controller side: the message buffered for `slot`, or nullptr. The
+  /// pointer is invalidated by the next write/clear of that slot.
+  [[nodiscard]] const PendingMessage* read(units::SlotId slot) const {
+    const auto idx = static_cast<std::size_t>(slot.value());
+    if (slot.value() < 0 || idx >= buffers_.size()) return nullptr;
+    const Buffer& b = buffers_[idx];
+    return b.full ? &b.msg : nullptr;
+  }
 
   /// Controller side: consume the message for `slot` after transmission.
   void clear(units::SlotId slot);
@@ -59,7 +65,15 @@ class StaticBufferSet {
   [[nodiscard]] std::size_t pending_count() const;
 
  private:
-  std::unordered_map<units::SlotId, std::optional<PendingMessage>> buffers_;
+  struct Buffer {
+    PendingMessage msg;
+    bool owned = false;
+    bool full = false;  ///< msg holds a not-yet-transmitted message
+  };
+  /// The buffer of an owned slot, or nullptr.
+  [[nodiscard]] Buffer* owned_buffer(units::SlotId slot);
+
+  std::vector<Buffer> buffers_;  ///< by slot id
 };
 
 /// Fixed-priority queue for dynamic-segment messages.

@@ -1,6 +1,7 @@
 #include "sched/schedule_table.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -120,14 +121,13 @@ StaticScheduleTable StaticScheduleTable::build(
     }
     const SlotAssignment chosen = best_meeting ? *best_meeting : *best_any;
     if (!best_meeting) table.deadline_risk_.push_back(m->id);
-    table.by_message_[m->id] = table.assignments_.size();
     table.assignments_.push_back(chosen);
     table.slot_occupants_[static_cast<std::size_t>(chosen.slot.value() - 1)]
         .push_back({chosen.base_cycle, chosen.repetition, m->id});
     table.table_period_ =
         sim::lcm_saturating(table.table_period_, chosen.repetition);
   }
-
+  table.index_by_message();
   return table;
 }
 
@@ -140,7 +140,6 @@ StaticScheduleTable StaticScheduleTable::from_assignments(
   table.assignments_ = std::move(assignments);
   for (std::size_t i = 0; i < table.assignments_.size(); ++i) {
     const SlotAssignment& a = table.assignments_[i];
-    table.by_message_[a.message_id] = i;
     // Out-of-range or degenerate entries stay in `assignments()` for the
     // linter to flag but cannot be indexed by slot.
     if (a.slot.value() >= 1 && a.slot.value() <= num_slots &&
@@ -151,7 +150,16 @@ StaticScheduleTable StaticScheduleTable::from_assignments(
           sim::lcm_saturating(table.table_period_, a.repetition);
     }
   }
+  table.index_by_message();
   return table;
+}
+
+void StaticScheduleTable::index_by_message() {
+  by_message_.clear();
+  for (std::size_t i = 0; i < assignments_.size(); ++i) {
+    by_message_.emplace_back(assignments_[i].message_id, i);
+  }
+  std::sort(by_message_.begin(), by_message_.end());
 }
 
 std::optional<int> StaticScheduleTable::message_at(
@@ -189,9 +197,14 @@ units::CycleIndex StaticScheduleTable::slot_last_base(
 }
 
 const SlotAssignment* StaticScheduleTable::assignment_of(int message_id) const {
-  auto it = by_message_.find(message_id);
-  if (it == by_message_.end()) return nullptr;
-  return &assignments_[it->second];
+  // Past the last entry for the id: that entry is the latest assignment.
+  const auto it = std::upper_bound(
+      by_message_.begin(), by_message_.end(), message_id,
+      [](int id, const std::pair<int, std::size_t>& e) { return id < e.first; });
+  if (it == by_message_.begin() || std::prev(it)->first != message_id) {
+    return nullptr;
+  }
+  return &assignments_[std::prev(it)->second];
 }
 
 std::int64_t StaticScheduleTable::slots_used() const {

@@ -17,7 +17,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "flexray/config.hpp"
@@ -113,8 +113,13 @@ class StaticScheduleTable {
   [[nodiscard]] const std::vector<Occupant>& occupants_of(
       units::SlotId slot) const;
 
+  /// Sort by_message_ once assignments_ is complete.
+  void index_by_message();
+
   std::vector<SlotAssignment> assignments_;
-  std::unordered_map<int, std::size_t> by_message_;
+  /// (message id, index into assignments_), sorted; the last entry wins
+  /// among duplicate ids.
+  std::vector<std::pair<int, std::size_t>> by_message_;
   std::vector<std::vector<Occupant>> slot_occupants_;  ///< index slot-1
   std::vector<int> unplaced_;
   std::vector<int> deadline_risk_;

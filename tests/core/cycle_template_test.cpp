@@ -69,12 +69,10 @@ TEST(CycleTemplateTest, AgreesWithTableEverywhereIncludingWarmUp) {
         const net::Message* m = tpl.message_at(s, c);
         ASSERT_NE(m, nullptr);
         EXPECT_EQ(m->id, *expected);
-        EXPECT_EQ(tpl.message_id_at(s, c), *expected);
         EXPECT_EQ(tpl.node_at(s, c), m->node);
         EXPECT_EQ(tpl.payload_bits_at(s, c), m->size_bits);
       } else {
         EXPECT_EQ(tpl.message_at(s, c), nullptr);
-        EXPECT_EQ(tpl.message_id_at(s, c), -1);
         EXPECT_EQ(tpl.node_at(s, c), -1);
         EXPECT_EQ(tpl.payload_bits_at(s, c), 0);
       }
@@ -84,7 +82,8 @@ TEST(CycleTemplateTest, AgreesWithTableEverywhereIncludingWarmUp) {
   EXPECT_EQ(tpl.message_at(units::SlotId{3}, units::CycleIndex{0}), nullptr);
   EXPECT_EQ(tpl.message_at(units::SlotId{3}, units::CycleIndex{2}), nullptr);
   ASSERT_NE(tpl.message_at(units::SlotId{3}, units::CycleIndex{3}), nullptr);
-  EXPECT_EQ(tpl.message_id_at(units::SlotId{3}, units::CycleIndex{9}), 4);
+  ASSERT_NE(tpl.message_at(units::SlotId{3}, units::CycleIndex{9}), nullptr);
+  EXPECT_EQ(tpl.message_at(units::SlotId{3}, units::CycleIndex{9})->id, 4);
 }
 
 TEST(CycleTemplateTest, BudgetColumnFollowsThePlanAndGatesOnWarmUp) {
@@ -146,11 +145,10 @@ std::int64_t disagreements(const CycleTemplate& tpl,
           expected.has_value() ? statics.find(*expected) : nullptr;
       const bool agrees =
           m != nullptr
-              ? tpl.message_at(s, c) == m && tpl.message_id_at(s, c) == m->id &&
-                    tpl.node_at(s, c) == m->node &&
+              ? tpl.message_at(s, c) == m && tpl.node_at(s, c) == m->node &&
                     tpl.payload_bits_at(s, c) == m->size_bits
               : tpl.message_at(s, c) == nullptr &&
-                    tpl.message_id_at(s, c) == -1 && tpl.node_at(s, c) == -1 &&
+                    tpl.node_at(s, c) == -1 &&
                     tpl.payload_bits_at(s, c) == 0;
       if (!agrees && bad++ == 0) {
         first = "slot=" + std::to_string(slot) +
@@ -226,7 +224,8 @@ TEST(CycleTemplateTest, CoprimeSlotPeriodsAgreeThroughWarmUp) {
   EXPECT_EQ(tpl.cells(), 6u + 5u + 1u);
   // Slot 2 warms up until cycle 7 although cycle 2 is in its phase.
   EXPECT_EQ(tpl.message_at(units::SlotId{2}, units::CycleIndex{2}), nullptr);
-  EXPECT_EQ(tpl.message_id_at(units::SlotId{2}, units::CycleIndex{7}), 3);
+  ASSERT_NE(tpl.message_at(units::SlotId{2}, units::CycleIndex{7}), nullptr);
+  EXPECT_EQ(tpl.message_at(units::SlotId{2}, units::CycleIndex{7})->id, 3);
 }
 
 // Memory stays bounded on what the campaign generator draws: the

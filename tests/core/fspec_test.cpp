@@ -84,6 +84,23 @@ TEST(FspecTest, SingleRoundMirrorsEveryInstance) {
   EXPECT_EQ(s.copies_sent, 200);
 }
 
+TEST(FspecTest, MessageIdZeroKeepsItsFirstInstance) {
+  // Instance handles never equal the round train's "empty" value, so
+  // the first release of message id 0 is trained like any other (it
+  // used to alias "no instance" and go unsent).
+  for (const int first_id : {0, 7}) {
+    net::MessageSet statics(
+        {static_msg(first_id, 0, 10, 400), static_msg(1, 1, 10, 400)});
+    Harness h(statics, {}, 1);
+    h.run(sim::millis(100));
+    const auto& s = h.scheduler.stats().statics;
+    EXPECT_EQ(s.released, 20) << "first id " << first_id;
+    EXPECT_EQ(s.delivered, 20) << "first id " << first_id;
+    EXPECT_EQ(s.missed, 0) << "first id " << first_id;
+    EXPECT_EQ(s.copies_sent, 40) << "first id " << first_id;
+  }
+}
+
 TEST(FspecTest, IdleSlotsStayIdle) {
   // One message in an 8-slot segment: 7 slots idle on A, 7 on B, plus
   // the whole dynamic segment. FSPEC never reuses them.

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -102,6 +103,15 @@ TEST(SweepRunnerTest, ResolveJobsPrefersExplicitThenEnvThenHardware) {
   EXPECT_EQ(SweepRunner::resolve_jobs(0), 3);  // env fallback
   ASSERT_EQ(unsetenv("COEFF_JOBS"), 0);
   EXPECT_GE(SweepRunner::resolve_jobs(0), 1);  // hardware fallback
+}
+
+TEST(SweepRunnerTest, ResolveJobsRejectsAMalformedEnvValue) {
+  ASSERT_EQ(setenv("COEFF_JOBS", "2x", /*overwrite=*/1), 0);
+  EXPECT_EQ(SweepRunner::resolve_jobs(5), 5);  // explicit never reads it
+  EXPECT_THROW((void)SweepRunner::resolve_jobs(0), std::invalid_argument);
+  ASSERT_EQ(setenv("COEFF_JOBS", "", /*overwrite=*/1), 0);
+  EXPECT_THROW((void)SweepRunner::resolve_jobs(0), std::invalid_argument);
+  ASSERT_EQ(unsetenv("COEFF_JOBS"), 0);
 }
 
 TEST(SweepRunnerTest, EmptyGridYieldsEmptyReport) {

@@ -23,12 +23,12 @@ TEST(StaticBufferSetTest, WriteReadClear) {
   buffers.add_slot(SlotId{5});
   EXPECT_TRUE(buffers.owns(SlotId{5}));
   EXPECT_FALSE(buffers.owns(SlotId{6}));
-  EXPECT_FALSE(buffers.read(SlotId{5}).has_value());
+  EXPECT_EQ(buffers.read(SlotId{5}), nullptr);
   EXPECT_FALSE(buffers.write(SlotId{5}, msg(1, 0)));
-  ASSERT_TRUE(buffers.read(SlotId{5}).has_value());
+  ASSERT_NE(buffers.read(SlotId{5}), nullptr);
   EXPECT_EQ(buffers.read(SlotId{5})->instance, 1u);
   buffers.clear(SlotId{5});
-  EXPECT_FALSE(buffers.read(SlotId{5}).has_value());
+  EXPECT_EQ(buffers.read(SlotId{5}), nullptr);
 }
 
 TEST(StaticBufferSetTest, OverwriteReportsPreviousValue) {
@@ -46,7 +46,8 @@ TEST(StaticBufferSetTest, WriteToUnownedSlotThrows) {
 
 TEST(StaticBufferSetTest, ReadUnownedSlotIsEmpty) {
   StaticBufferSet buffers;
-  EXPECT_FALSE(buffers.read(SlotId{9}).has_value());
+  EXPECT_EQ(buffers.read(SlotId{9}), nullptr);
+  EXPECT_EQ(buffers.read(SlotId{-1}), nullptr);
   EXPECT_NO_THROW(buffers.clear(SlotId{9}));
 }
 
