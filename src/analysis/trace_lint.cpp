@@ -45,8 +45,7 @@ Location record_loc(std::int64_t index) {
 }
 
 bool is_tx(sim::TraceKind k) {
-  return k == sim::TraceKind::kTxStart || k == sim::TraceKind::kTxSuccess ||
-         k == sim::TraceKind::kTxCorrupted;
+  return k == sim::TraceKind::kTxSuccess || k == sim::TraceKind::kTxCorrupted;
 }
 
 }  // namespace

@@ -116,7 +116,6 @@ class CheckpointWriter {
   /// Append one sealed record (+fsync when durable). False = IO error.
   bool append(const CheckpointRecord& record);
 
-  [[nodiscard]] bool is_open() const { return fd_ >= 0; }
   void close();
 
  private:

@@ -334,11 +334,4 @@ core::ExperimentConfig ScenarioGenerator::config(
   return config;
 }
 
-std::string fault_tag(const ScenarioSpec& spec) {
-  std::string tag = fault::to_string(spec.fault_model.kind);
-  tag += '+';
-  tag += to_string(spec.structural);
-  return tag;
-}
-
 }  // namespace coeff::campaign

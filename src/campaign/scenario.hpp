@@ -104,10 +104,6 @@ class ScenarioGenerator {
   ScenarioDistribution dist_;
 };
 
-/// Short human/report tag for a spec's fault axes, e.g.
-/// "gilbert-elliott+crash".
-[[nodiscard]] std::string fault_tag(const ScenarioSpec& spec);
-
 /// CLI/manifest spellings of a scheme ("coefficient", "fspec", "hosa").
 [[nodiscard]] const char* scheme_tag(core::SchemeKind scheme);
 [[nodiscard]] std::optional<core::SchemeKind> parse_scheme_tag(

@@ -258,10 +258,6 @@ class AnalyticFailure {
   [[nodiscard]] double independent_failures(std::int64_t bits, int n);
   [[nodiscard]] double independent_pair_failures(std::int64_t bits, int n);
 
-  /// Stationary probability of the Gilbert–Elliott bad state (0 for the
-  /// memoryless models).
-  [[nodiscard]] double stationary_bad() const { return pi_bad_; }
-
   [[nodiscard]] const FaultModelConfig& config() const { return config_; }
 
  private:

@@ -13,12 +13,16 @@
 #include <functional>
 
 #include "flexray/config.hpp"
-#include "flexray/frame.hpp"
 #include "flexray/timing.hpp"
 #include "sim/time.hpp"
 #include "units/units.hpp"
 
 namespace coeff::flexray {
+
+/// 11-bit frame identifier; equals the slot number it is sent in.
+/// A strong type (units::FrameId): constructing one from a slot number
+/// goes through units::to_frame_id, and the raw wire value is `.value()`.
+using FrameId = units::FrameId;
 
 /// What a scheduler asks the bus to carry in one slot.
 struct TxRequest {
@@ -130,7 +134,6 @@ class Channel {
 
   [[nodiscard]] ChannelId id() const { return id_; }
   [[nodiscard]] const ChannelStats& stats() const { return stats_; }
-  void reset_stats() { stats_ = ChannelStats{}; }
 
  private:
   ChannelId id_;

@@ -83,7 +83,7 @@ void DynamicQueue::push(PendingMessage msg) {
   seqs_.insert(seqs_.begin() + static_cast<std::ptrdiff_t>(pos), seq);
 }
 
-std::optional<PendingMessage> DynamicQueue::peek(FrameId id) const {
+std::optional<PendingMessage> DynamicQueue::peek(units::FrameId id) const {
   for (const auto& msg : queue_) {
     if (msg.frame_id == id) return msg;
   }

@@ -15,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "flexray/frame.hpp"
 #include "sim/time.hpp"
 #include "units/units.hpp"
 
@@ -24,7 +23,7 @@ namespace coeff::flexray {
 /// A message instance waiting in a CHI buffer.
 struct PendingMessage {
   std::uint64_t instance = 0;  ///< scheduler-opaque instance id
-  FrameId frame_id{0};
+  units::FrameId frame_id{0};
   std::int64_t payload_bits = 0;
   sim::Time release;                   ///< when the host produced it
   sim::Time deadline = sim::Time::max();  ///< absolute; max() = soft
@@ -86,7 +85,7 @@ class DynamicQueue {
   void push(PendingMessage msg);
 
   /// Head message with the given frame id, if any (does not remove).
-  [[nodiscard]] std::optional<PendingMessage> peek(FrameId id) const;
+  [[nodiscard]] std::optional<PendingMessage> peek(units::FrameId id) const;
 
   /// Highest-priority message overall, if any.
   [[nodiscard]] std::optional<PendingMessage> peek_head() const;
@@ -145,8 +144,8 @@ class Node {
   }
 
   /// Dynamic frame IDs this node may transmit in.
-  void add_dynamic_frame_id(FrameId id) { dynamic_ids_.push_back(id); }
-  [[nodiscard]] const std::vector<FrameId>& dynamic_frame_ids() const {
+  void add_dynamic_frame_id(units::FrameId id) { dynamic_ids_.push_back(id); }
+  [[nodiscard]] const std::vector<units::FrameId>& dynamic_frame_ids() const {
     return dynamic_ids_;
   }
 
@@ -168,7 +167,7 @@ class Node {
   std::string name_;
   StaticBufferSet static_buffers_;
   DynamicQueue dynamic_queue_;
-  std::vector<FrameId> dynamic_ids_;
+  std::vector<units::FrameId> dynamic_ids_;
   bool up_ = true;
 };
 

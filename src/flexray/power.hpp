@@ -70,9 +70,6 @@ class EnergyMeter {
   [[nodiscard]] double sleep_saved_uj() const { return sleep_saved_uj_; }
   [[nodiscard]] std::int64_t cycles() const { return cycles_; }
   [[nodiscard]] std::int64_t slots_slept() const { return slots_slept_; }
-  [[nodiscard]] double per_cycle_uj() const {
-    return cycles_ == 0 ? 0.0 : total_uj_ / static_cast<double>(cycles_);
-  }
 
  private:
   PowerConfig config_;

@@ -8,24 +8,14 @@ const char* to_string(TraceKind k) {
   switch (k) {
     case TraceKind::kCycleStart:
       return "cycle_start";
-    case TraceKind::kSlotStart:
-      return "slot_start";
-    case TraceKind::kTxStart:
-      return "tx_start";
     case TraceKind::kTxSuccess:
       return "tx_success";
     case TraceKind::kTxCorrupted:
       return "tx_corrupted";
     case TraceKind::kRetransmissionScheduled:
       return "retx_scheduled";
-    case TraceKind::kSlackStolen:
-      return "slack_stolen";
     case TraceKind::kDeadlineMiss:
       return "deadline_miss";
-    case TraceKind::kDeadlineMet:
-      return "deadline_met";
-    case TraceKind::kQueueDrop:
-      return "queue_drop";
     case TraceKind::kBerDrift:
       return "ber_drift";
     case TraceKind::kPlanSwap:

@@ -1,7 +1,7 @@
 // Structured trace recorder.
 //
-// Components emit typed records (transmission start/end, fault, slack
-// steal, deadline miss, ...) tagged with the simulated timestamp. Tests
+// Components emit typed records (transmission outcome, retransmission,
+// plan swap, structural fault, ...) tagged with the simulated timestamp. Tests
 // and benches filter the log to assert on protocol-level behaviour
 // without coupling to component internals. Recording can be disabled
 // for long benchmark runs.
@@ -17,15 +17,10 @@ namespace coeff::sim {
 
 enum class TraceKind : std::uint8_t {
   kCycleStart,
-  kSlotStart,
-  kTxStart,
   kTxSuccess,
   kTxCorrupted,
   kRetransmissionScheduled,
-  kSlackStolen,
   kDeadlineMiss,
-  kDeadlineMet,
-  kQueueDrop,
   kBerDrift,   ///< monitor detected BER drift; a=cycle, note carries estimate
   kPlanSwap,   ///< online re-plan swapped in; a=cycle, b=total copies, c=degraded
   kLoadShed,   ///< degraded mode shed a dynamic frame; a=message id, b=node

@@ -5,6 +5,7 @@
 namespace coeff::flexray {
 namespace {
 
+using units::FrameId;
 using units::SlotId;
 
 PendingMessage msg(std::uint64_t instance, int priority,
